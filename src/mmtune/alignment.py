@@ -18,15 +18,29 @@ from .errors import BadLength, MissingText, ShapeMismatch
 MODALITY_ORDER = ("image", "video", "audio")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(QK^T / sqrt(d_k)) V, single head, no projections."""
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+              mask=None) -> Tensor:
+    """softmax(QK^T / sqrt(d_head) + mask) V for q: n×d, k: m×d, v: m×d_v.
+
+    The columns split into `heads` equal groups that run as one batched
+    product; the n×m additive `mask` is shared by every head."""
     if q.shape[1] != k.shape[1]:
         raise ShapeMismatch(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ShapeMismatch(f"{k.shape[0]} keys vs {v.shape[0]} values")
-    d_k = q.shape[1]
-    scores = ag.mul(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(d_k))
-    return ag.matmul(ag.softmax_rows(scores), v)
+    if q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeMismatch(f"widths {q.shape[1]}, {v.shape[1]} not divisible by {heads} heads")
+
+    def split(t):  # rows×(heads·w) -> heads×rows×w
+        return ag.transpose(ag.reshape(t, (t.shape[0], heads, -1)), (1, 0, 2))
+
+    # scale q, not the heads×n×m scores: one pass less over the largest array
+    q = ag.mul(q, 1.0 / math.sqrt(q.shape[1] // heads))
+    scores = ag.matmul(split(q), ag.transpose(split(k)))
+    if mask is not None:
+        scores = ag.add(scores, mask)
+    out = ag.matmul(ag.softmax_rows(scores), split(v))
+    return ag.reshape(ag.transpose(out, (1, 0, 2)), (q.shape[0], v.shape[1]))
 
 
 def derive_stride_kernel(length: int, l_prime: int) -> tuple[int, int]:
@@ -90,37 +104,25 @@ class AlignedTokens:
 
 
 def align(h_prime: Tensor, embed_matrix: Tensor, kind: str = "image",
-          freeze_embedding: bool = False) -> AlignedTokens:
+          freeze_embedding: bool = False, proj: dict | None = None,
+          heads: int = 1) -> AlignedTokens:
     """Attend the transformed features against the embedding matrix.
 
-    Single head, no learned projections, scale sqrt(d_e). With
-    freeze_embedding the embedding matrix receives no gradient from this
-    path (it still trains through token lookup and the output projection).
+    Without `proj` each soft token is a convex combination of embedding rows.
+    `proj` holds learned d_e×d_e "wq", "wk", "wv" and "wo" maps around
+    `heads`-head attention. With freeze_embedding the embedding matrix
+    receives no gradient from this path (it still trains through token
+    lookup and the output projection).
     """
     if h_prime.shape[1] != embed_matrix.shape[1]:
         raise ShapeMismatch(
             f"soft-token width {h_prime.shape[1]} != embedding width {embed_matrix.shape[1]}")
     e = ag.stop_gradient(embed_matrix) if freeze_embedding else embed_matrix
-    return AlignedTokens(matrix=attention(h_prime, e, e), kind=kind)
-
-
-def align_multihead(h_prime: Tensor, embed_matrix: Tensor, proj: dict,
-                    heads: int, kind: str = "image") -> AlignedTokens:
-    """Optional multi-head variant with learned Q/K/V/O projections."""
-    d_e = embed_matrix.shape[1]
-    if d_e % heads:
-        raise ShapeMismatch(f"width {d_e} not divisible by {heads} heads")
-    q = ag.matmul(h_prime, proj["wq"])
-    k = ag.matmul(embed_matrix, proj["wk"])
-    v = ag.matmul(embed_matrix, proj["wv"])
-    d_head = d_e // heads
-    outs = []
-    for i in range(heads):
-        a, b = i * d_head, (i + 1) * d_head
-        outs.append(attention(ag.slice_cols(q, a, b), ag.slice_cols(k, a, b),
-                              ag.slice_cols(v, a, b)))
-    merged = ag.transpose(ag.concat_rows([ag.transpose(o) for o in outs]))
-    return AlignedTokens(matrix=ag.matmul(merged, proj["wo"]), kind=kind)
+    if proj is None:
+        return AlignedTokens(matrix=attention(h_prime, e, e, heads), kind=kind)
+    out = attention(ag.matmul(h_prime, proj["wq"]), ag.matmul(e, proj["wk"]),
+                    ag.matmul(e, proj["wv"]), heads)
+    return AlignedTokens(matrix=ag.matmul(out, proj["wo"]), kind=kind)
 
 
 @dataclass

@@ -43,9 +43,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def backward(self):
         """Accumulate gradients of this scalar into every reachable tensor."""
         if self.data.size != 1:
@@ -103,8 +100,11 @@ def _as_tensor(x):
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add g, summed down to t's shape, into t.grad."""
     if not (t.requires_grad or t._parents):
         return
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
@@ -129,8 +129,8 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _node(out_data, (a, b), bwd)
 
@@ -140,34 +140,51 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return _node(out_data, (a, b), bwd)
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product, batched over leading dimensions that broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeMismatch(f"matmul needs 2-D or stacked operands, got {a.shape} @ {b.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(f"inner extents differ: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    try:
+        out_data = a.data @ b.data
+    except ValueError as e:
+        raise ShapeMismatch(f"stack extents differ: {a.shape} @ {b.shape}") from e
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(out_data, (a, b), bwd)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes=None) -> Tensor:
+    """Permute axes; by default swap the last two."""
+    a = _as_tensor(a)
+    if axes is None:
+        axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
+    inverse = np.argsort(axes)
+
+    def bwd(g):
+        _accum(a, np.transpose(g, inverse))
+
+    return _node(np.transpose(a.data, axes), (a,), bwd)
+
+
+def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        _accum(a, g.T)
+        _accum(a, g.reshape(a.data.shape))
 
-    return _node(a.data.T, (a,), bwd)
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def sum_all(a) -> Tensor:

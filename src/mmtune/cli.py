@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("dataset-build",
                         help="build instruction examples from captions")
-    common(sp, "config", "seed", "data", "out")
+    common(sp, "data", "out")
     sp.add_argument("--fixtures", metavar="DIR",
                     help="mock-client fixtures directory "
                          f"(default ${ds.FIXTURES_ENV})")

@@ -8,12 +8,13 @@ forward pass has no modality-conditional branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .alignment import InstructionSequence, TransformWeights, init_transform_weights
+from .alignment import (InstructionSequence, TransformWeights, attention,
+                        init_transform_weights)
 from .autograd import Tensor
 from .encoders import ModalityConfig
 from .errors import InvalidId, SequenceTooLong
@@ -35,9 +36,7 @@ class DecoderConfig:
             raise ValueError("d_e must be divisible by heads")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "d_e", "layers", "heads", "d_ff", "vocab_size", "max_seq_len",
-            "alignment_heads")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecoderConfig":
@@ -133,15 +132,17 @@ def embed_tokens(ids, params: ModelParams) -> Tensor:
     return ag.embedding(params.embedding, idx)
 
 
-_mask_cache: dict = {}
+_mask = np.zeros((0, 0))
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    m = _mask_cache.get(n)
-    if m is None:
-        m = np.triu(np.full((n, n), -1e9), k=1)
-        _mask_cache[n] = m
-    return m
+def _causal_mask(n: int, max_len: int) -> np.ndarray:
+    """n×n view of one cached additive causal mask, built at max_len (or n,
+    if larger) so that decoding at growing lengths keeps a single array."""
+    global _mask
+    if _mask.shape[0] < n:
+        size = max(n, max_len)
+        _mask = np.triu(np.full((size, size), -1e9), k=1)
+    return _mask[:n, :n]
 
 
 def _self_attention(x: Tensor, params: ModelParams, layer: int,
@@ -150,18 +151,8 @@ def _self_attention(x: Tensor, params: ModelParams, layer: int,
     q = ag.matmul(x, params[f"{p}.wq"])
     k = ag.matmul(x, params[f"{p}.wk"])
     v = ag.matmul(x, params[f"{p}.wv"])
-    n = x.shape[0]
-    d_head = cfg.d_e // cfg.heads
-    mask = Tensor(_causal_mask(n))
-    outs = []
-    for h in range(cfg.heads):
-        a, b = h * d_head, (h + 1) * d_head
-        scores = ag.mul(ag.matmul(ag.slice_cols(q, a, b),
-                                  ag.transpose(ag.slice_cols(k, a, b))),
-                        1.0 / math.sqrt(d_head))
-        weights = ag.softmax_rows(ag.add(scores, mask))
-        outs.append(ag.matmul(weights, ag.slice_cols(v, a, b)))
-    return ag.matmul(ag.concat_cols(outs), params[f"{p}.wo"])
+    mask = Tensor(_causal_mask(x.shape[0], cfg.max_seq_len))
+    return ag.matmul(attention(q, k, v, cfg.heads, mask), params[f"{p}.wo"])
 
 
 def forward(seq: InstructionSequence, params: ModelParams,

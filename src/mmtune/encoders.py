@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,12 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _MAGIC = b"MCWF"
 _VERSION = 1
+
+
+# kind -> (row-count field, width field) of ModalityConfig
+_KIND_FIELDS = {"image": ("image_len", "image_dim"),
+                "video": ("video_frames", "video_dim"),
+                "audio": ("audio_len", "audio_dim")}
 
 
 @dataclass(frozen=True)
@@ -39,28 +45,19 @@ class ModalityConfig:
     audio_dim: int = 32
     source_frames_default: int = 32  # assumed raw frame count when unknown
 
+    def _kind_fields(self, kind: str) -> tuple[str, str]:
+        if kind not in _KIND_FIELDS:
+            raise UnknownKind(kind)
+        return _KIND_FIELDS[kind]
+
     def length(self, kind: str) -> int:
-        if kind == "image":
-            return self.image_len
-        if kind == "video":
-            return self.video_frames
-        if kind == "audio":
-            return self.audio_len
-        raise UnknownKind(kind)
+        return getattr(self, self._kind_fields(kind)[0])
 
     def dim(self, kind: str) -> int:
-        if kind == "image":
-            return self.image_dim
-        if kind == "video":
-            return self.video_dim
-        if kind == "audio":
-            return self.audio_dim
-        raise UnknownKind(kind)
+        return getattr(self, self._kind_fields(kind)[1])
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "l_prime", "image_len", "image_dim", "video_frames", "video_dim",
-            "audio_len", "audio_dim", "source_frames_default")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModalityConfig":

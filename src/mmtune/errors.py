@@ -103,7 +103,3 @@ class SchemaError(MMTuneError):
 # cli
 class ConfigError(MMTuneError):
     pass
-
-
-class UnknownCommand(MMTuneError):
-    pass

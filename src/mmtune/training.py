@@ -9,13 +9,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
 from . import encoders
-from .alignment import InstructionSequence, align, align_multihead, assemble_prefix, transform
+from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
 from .encoders import MediaRef, ModalityConfig
@@ -56,10 +56,7 @@ class TrainConfig:
             raise ValueError("loss_reduction must be 'mean' or 'sum'")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "lr_peak", "warmup_ratio", "epochs", "micro_batch", "grad_accum",
-            "max_seq_len", "seed", "beta1", "beta2", "eps", "weight_decay",
-            "loss_reduction", "freeze_embedding", "max_grad_norm")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -88,14 +85,11 @@ def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
         feats = encoders.encode(ref, mod_cfg)
         h_prime = transform(feats, params.transform_weights(ref.kind),
                             mod_cfg.l_prime)
-        if dec_cfg.alignment_heads > 1:
-            proj = {n: params[f"align.{ref.kind}.w{n[-1]}"]
-                    for n in ("wq", "wk", "wv", "wo")}
-            aligned[ref.kind] = align_multihead(h_prime, params.embedding, proj,
-                                                dec_cfg.alignment_heads, ref.kind)
-        else:
-            aligned[ref.kind] = align(h_prime, params.embedding, ref.kind,
-                                      freeze_embedding=freeze)
+        proj = ({n: params[f"align.{ref.kind}.{n}"] for n in ("wq", "wk", "wv", "wo")}
+                if dec_cfg.alignment_heads > 1 else None)
+        aligned[ref.kind] = align(h_prime, params.embedding, ref.kind,
+                                  freeze_embedding=freeze, proj=proj,
+                                  heads=dec_cfg.alignment_heads)
     instr_ids, resp_ids = frame_text_ids(
         vocab, example.instruction,
         example.response if with_response else None)

@@ -10,13 +10,20 @@ from mmtune.encoders import ModalityFeatures
 from mmtune.errors import BadLength, MissingText, ShapeMismatch
 
 
-def attention_oracle(q, k, v):
-    """Independent numpy computation of scaled dot-product attention."""
-    scores = q @ k.T / np.sqrt(q.shape[1])
-    scores = scores - scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ v
+def attention_oracle(q, k, v, heads=1, mask=None):
+    """Independent numpy computation of scaled dot-product attention, one
+    head at a time over equal column groups."""
+    outs = []
+    for qh, kh, vh in zip(np.split(q, heads, axis=1), np.split(k, heads, axis=1),
+                          np.split(v, heads, axis=1)):
+        scores = qh @ kh.T / np.sqrt(qh.shape[1])
+        if mask is not None:
+            scores = scores + mask
+        scores = scores - scores.max(axis=1, keepdims=True)
+        w = np.exp(scores)
+        w /= w.sum(axis=1, keepdims=True)
+        outs.append(w @ vh)
+    return np.concatenate(outs, axis=1)
 
 
 class TestAttention:
@@ -45,16 +52,26 @@ class TestAttention:
         np.testing.assert_allclose(expected[0], [1.660477, 2.660477], atol=1e-5)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_matches_oracle_random(self):
+    @pytest.mark.parametrize("causal", [False, True], ids=["nomask", "causal"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_oracle_random(self, heads, causal):
         rng = np.random.default_rng(2)
-        q, k, v = rng.normal(size=(4, 5)), rng.normal(size=(7, 5)), rng.normal(size=(7, 3))
-        np.testing.assert_allclose(attention(Tensor(q), Tensor(k), Tensor(v)).data,
-                                   attention_oracle(q, k, v), atol=1e-12)
+        q, k, v = rng.normal(size=(5, 8)), rng.normal(size=(7, 8)), rng.normal(size=(7, 4))
+        mask = np.triu(np.full((5, 7), -1e9), k=1) if causal else None
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads,
+                        None if mask is None else Tensor(mask))
+        np.testing.assert_allclose(out.data, attention_oracle(q, k, v, heads, mask),
+                                   atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
                       Tensor(np.ones((2, 4))))
+
+    def test_indivisible_width(self):
+        with pytest.raises(ShapeMismatch):
+            attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))),
+                      Tensor(np.ones((3, 5))), heads=2)
 
     def test_row_stochastic_weights(self):
         rng = np.random.default_rng(3)
@@ -129,13 +146,19 @@ class TestAlign:
         out = align(Tensor(h), Tensor(e)).matrix.data
         np.testing.assert_allclose(out, attention_oracle(h, e, e), atol=1e-12)
 
-    def test_gradient_reaches_embedding_matrix(self):
+    @pytest.mark.parametrize("projected,heads", [(False, 1), (True, 2)],
+                             ids=["plain", "projected-2heads"])
+    def test_gradient_reaches_embedding_matrix(self, projected, heads):
         rng = np.random.default_rng(9)
         params = {"h": Tensor(rng.normal(size=(2, 4)), requires_grad=True),
                   "E": Tensor(rng.normal(size=(6, 4)), requires_grad=True)}
+        names = ("wq", "wk", "wv", "wo") if projected else ()
+        for n in names:
+            params[n] = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
 
         def fn(p):
-            return ag.mean_all(align(p["h"], p["E"]).matrix)
+            proj = {n: p[n] for n in names} or None
+            return ag.mean_all(align(p["h"], p["E"], proj=proj, heads=heads).matrix)
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]

@@ -90,6 +90,13 @@ class TestDatasetCommands:
                          os.path.join(DATA, "captions.jsonl"),
                          "--out", str(out)]) == 0
 
+    def test_build_takes_no_config_or_seed(self, tmp_path):
+        for flag, value in (("--config", write_cfg(tmp_path)), ("--seed", "1")):
+            assert dispatch(["dataset-build", "--data",
+                             os.path.join(DATA, "captions.jsonl"),
+                             "--out", str(tmp_path / "built.jsonl"),
+                             flag, value]) == 1
+
     def test_stats_table(self, capsys):
         code = dispatch(["dataset-stats", "--data",
                          os.path.join(DATA, "golden_build.jsonl")])

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,18 @@ class TestGenerateGreedy:
         seq2 = text_sequence([1, 50, 60, 3], tiny_params)
         b = generate_greedy(seq2, 8, tiny_params, tiny_dec_cfg)
         assert a == b
+
+    def test_decode_memory_bounded(self, tiny_params, tiny_dec_cfg):
+        # an 80-token decode may leave at most about one max_seq_len² mask
+        seq = text_sequence([1, 50, 60, 3], tiny_params)
+        tracemalloc.start()
+        try:
+            generate_greedy(seq, 80, tiny_params, tiny_dec_cfg, eos_id=-1)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * tiny_dec_cfg.max_seq_len ** 2 * 8
 
     def test_eos_model_generates_nothing(self, tiny_dec_cfg, tiny_mod_cfg):
         params = eos_always_params(tiny_dec_cfg, tiny_mod_cfg)

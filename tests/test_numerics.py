@@ -41,6 +41,10 @@ class TestMatmul:
         with pytest.raises(ShapeMismatch):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_stack_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            ag.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+
     def test_associativity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -177,6 +181,22 @@ class TestBackward:
             h = ag.gelu(ag.matmul(p["a"], p["w"]))
             h = ag.layernorm_rows(h, p["g"], p["b"])
             return ag.mean_all(ag.matmul(ag.softmax_rows(h), col_weights))
+
+        rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
+        assert rep.passed, rep.failures[:3]
+
+    def test_stacked_ops_match_finite_diff(self):
+        # 3-D matmul (stack @ stack and stack @ broadcast matrix),
+        # transpose with explicit axes and reshape
+        rng = np.random.default_rng(7)
+        params = {"a": Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=(4, 5)), requires_grad=True),
+                  "c": Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)}
+
+        def fn(p):
+            x = ag.reshape(ag.transpose(ag.matmul(p["a"], p["b"]), (1, 0, 2)), (3, 10))
+            y = ag.matmul(ag.transpose(p["a"]), p["c"])
+            return ag.add(ag.mean_all(ag.mul(x, x)), ag.mean_all(ag.gelu(y)))
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
+from mmtune import autograd as ag
 from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
 from mmtune.cognitive import embed_tokens, forward, init_params
@@ -107,6 +109,20 @@ class TestGradAccumulation:
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
+
+
+class TestBuildSequence:
+    def test_freeze_embedding_with_alignment_heads(self, tiny_dec_cfg,
+                                                   tiny_mod_cfg, vocab):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=2)
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(3))
+        seq = build_sequence(make_examples(1)[0], params, dec_cfg, tiny_mod_cfg,
+                             vocab, TrainConfig(freeze_embedding=True))
+        a, b = seq.span("image")
+        ag.sum_all(ag.slice_rows(seq.embedded, a, b)).backward()
+        grad = params.embedding.grad
+        assert grad is None or not grad.any()
+        assert params["align.image.wq"].grad.any()
 
 
 class TestTrainStep:
