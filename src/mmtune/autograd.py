@@ -9,6 +9,7 @@ central finite differences.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +121,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inside this context ops record no provenance: every result is a plain
+    tensor with no parents and no backward closure, as inference needs."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data, parents, backward_fn):
+    if not _grad_enabled:
+        return Tensor(data)
     return Tensor(data, parents=parents, backward_fn=backward_fn)
 
 
@@ -238,7 +256,7 @@ def gelu(a) -> Tensor:
     a = _as_tensor(a)
     c = math.sqrt(2.0 / math.pi)
     x = a.data
-    u = c * (x + 0.044715 * x ** 3)
+    u = c * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 

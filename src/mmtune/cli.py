@@ -110,7 +110,8 @@ def _cmd_train(args) -> int:
     import os
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
-    with open(log_path, "w", encoding="utf-8") as log:
+    # a resumed run continues the log of the run it resumes
+    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log:
         def log_fn(m):
             log.write(json.dumps({"step": m["step"], "loss": m["loss"],
                                   "lr": m["lr"], "grad_norm": m["grad_norm"]},

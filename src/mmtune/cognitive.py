@@ -135,42 +135,69 @@ def embed_tokens(ids, params: ModelParams) -> Tensor:
 _mask = np.zeros((0, 0))
 
 
-def _causal_mask(n: int, max_len: int) -> np.ndarray:
-    """n×n view of one cached additive causal mask, built at max_len (or n,
-    if larger) so that decoding at growing lengths keeps a single array."""
+def _causal_mask(t: int, n: int, max_len: int) -> np.ndarray:
+    """The [t:n, :n] block of one cached additive causal mask, built at
+    max_len (or n, if larger) so that decoding at growing lengths keeps a
+    single array."""
     global _mask
     if _mask.shape[0] < n:
         size = max(n, max_len)
         _mask = np.triu(np.full((size, size), -1e9), k=1)
-    return _mask[:n, :n]
+    return _mask[t:n, :n]
+
+
+@dataclass
+class KVCache:
+    """Per-layer keys and values of the first `t` positions, in buffers of
+    max_seq_len rows. No gradient flows through these plain arrays, so use a
+    cache under `autograd.no_grad()`."""
+
+    kv: np.ndarray  # layers × 2 × max_seq_len × d_e
+    t: int = 0
+
+    @classmethod
+    def empty(cls, cfg: DecoderConfig) -> "KVCache":
+        return cls(np.zeros((cfg.layers, 2, cfg.max_seq_len, cfg.d_e)))
 
 
 def _self_attention(x: Tensor, params: ModelParams, layer: int,
-                    cfg: DecoderConfig) -> Tensor:
+                    cfg: DecoderConfig, mask: Tensor,
+                    cache: KVCache | None) -> Tensor:
     p = f"layers.{layer}.attn"
     q = ag.matmul(x, params[f"{p}.wq"])
     k = ag.matmul(x, params[f"{p}.wk"])
     v = ag.matmul(x, params[f"{p}.wv"])
-    mask = Tensor(_causal_mask(x.shape[0], cfg.max_seq_len))
+    if cache is not None:
+        t, n = cache.t, cache.t + x.shape[0]
+        cache.kv[layer, 0, t:n] = k.data
+        cache.kv[layer, 1, t:n] = v.data
+        k, v = Tensor(cache.kv[layer, 0, :n]), Tensor(cache.kv[layer, 1, :n])
     return ag.matmul(attention(q, k, v, cfg.heads, mask), params[f"{p}.wo"])
 
 
 def forward(seq: InstructionSequence, params: ModelParams,
-            cfg: DecoderConfig) -> Tensor:
-    """Causal decoder over the assembled sequence; returns S×V logits."""
-    n = seq.length
+            cfg: DecoderConfig, cache: KVCache | None = None) -> Tensor:
+    """Causal decoder over the assembled sequence; returns S×V logits.
+
+    With a `cache` of the first cache.t positions, `seq` holds only the rows
+    after them, and their keys and values join the cache."""
+    t = cache.t if cache is not None else 0
+    n = t + seq.length
     if n > cfg.max_seq_len:
         raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
-    x = ag.add(seq.embedded, ag.slice_rows(params["pos"], 0, n))
+    x = ag.add(seq.embedded, ag.slice_rows(params["pos"], t, n))
+    mask = Tensor(_causal_mask(t, n, cfg.max_seq_len))
     for i in range(cfg.layers):
         p = f"layers.{i}"
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = ag.add(x, _self_attention(h, params, i, cfg))
+        x = ag.add(x, _self_attention(h, params, i, cfg, mask, cache))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.matmul(ag.gelu(ag.add(ag.matmul(h, params[f"{p}.ffn.w1"]),
                                      params[f"{p}.ffn.b1"])),
                       params[f"{p}.ffn.w2"])
         x = ag.add(x, ag.add(h, params[f"{p}.ffn.b2"]))
+    if cache is not None:
+        cache.t = n
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])
     return ag.matmul(x, ag.transpose(params.embedding))
 
@@ -178,22 +205,22 @@ def forward(seq: InstructionSequence, params: ModelParams,
 def generate_greedy(prefix: InstructionSequence, max_new: int,
                     params: ModelParams, cfg: DecoderConfig,
                     eos_id: int = EOS) -> list:
-    """Deterministic argmax decoding; stops at EOS or max_new tokens."""
+    """Deterministic argmax decoding; stops at EOS or max_new tokens. Runs
+    without a tape: one forward over the prefix, then one row per token."""
     if prefix.span("response-text") is not None:
         raise ValueError("prefix must not contain a response span")
     if prefix.length + max_new > cfg.max_seq_len:
         raise SequenceTooLong(
             f"prefix {prefix.length} + max_new {max_new} > max {cfg.max_seq_len}")
-    embedded = prefix.embedded
+    cache = KVCache.empty(cfg)
     generated: list = []
     seq = prefix
-    for _ in range(max_new):
-        logits = forward(seq, params, cfg)
-        next_id = int(np.argmax(logits.data[-1]))
-        if next_id == eos_id:
-            break
-        generated.append(next_id)
-        embedded = ag.concat_rows([embedded, embed_tokens([next_id], params)])
-        seq = InstructionSequence(embedded=embedded, spans=prefix.spans,
-                                  ids=np.concatenate([seq.ids, [next_id]]))
+    with ag.no_grad():
+        for _ in range(max_new):
+            logits = forward(seq, params, cfg, cache)
+            next_id = int(np.argmax(logits.data[-1]))
+            if next_id == eos_id:
+                break
+            generated.append(next_id)
+            seq = InstructionSequence(embedded=embed_tokens([next_id], params))
     return generated

@@ -114,16 +114,15 @@ def response_nll(logits: Tensor, seq: InstructionSequence,
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Linear warmup from 0 to lr_peak, then cosine decay to 0."""
-    if total_steps <= 0:
+    """Linear warmup from 0 to lr_peak, then cosine decay to 0, which holds
+    from total_steps on."""
+    if step >= total_steps:
         return 0.0
     warmup = round(cfg.warmup_ratio * total_steps)
     if step < warmup:
         return cfg.lr_peak * step / warmup
-    denom = total_steps - warmup
-    if denom <= 0:
-        return 0.0
-    return cfg.lr_peak * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / denom))
+    return cfg.lr_peak * 0.5 * (1.0 + math.cos(
+        math.pi * (step - warmup) / (total_steps - warmup)))
 
 
 @dataclass
@@ -263,10 +262,12 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
             if log_fn:
                 log_fn(m)
             step += 1
-        if out_dir is not None:
-            ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state,
-                              step, rng.bit_generator.state)
-            save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"), ckpt)
+        else:  # only an epoch that ran to its end gets a checkpoint
+            if out_dir is not None:
+                ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
+                                  opt_state, step, rng.bit_generator.state)
+                save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
+                                ckpt)
         if max_steps is not None and step >= max_steps:
             break
     final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
@@ -282,11 +283,12 @@ def evaluate(dataset, ckpt: Checkpoint) -> dict:
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
     nlls = []
-    for ex in dataset:
-        seq = build_sequence(ex, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg,
-                             ckpt.vocab)
-        logits = forward(seq, ckpt.params, ckpt.dec_cfg)
-        nlls.append(float(response_nll(logits, seq).data))
+    with ag.no_grad():
+        for ex in dataset:
+            seq = build_sequence(ex, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg,
+                                 ckpt.vocab)
+            logits = forward(seq, ckpt.params, ckpt.dec_cfg)
+            nlls.append(float(response_nll(logits, seq).data))
     mean_nll = float(np.mean(nlls))
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}

@@ -137,6 +137,18 @@ class TestTrainEvalGenerate:
         rec = json.loads(lines[0])
         assert set(rec) == {"step", "loss", "lr", "grad_norm"}
 
+    def test_resume_keeps_log(self, trained, tmp_path):
+        out = tmp_path / "run"
+        base = ["train", "--config", trained["cfg"], "--data", trained["data"],
+                "--out", str(out), "--seed", "5"]
+        assert dispatch(base + ["--max-steps", "1"]) == 0
+        first = (out / "metrics.jsonl").read_text().splitlines()
+        assert dispatch(base + ["--max-steps", "2", "--resume",
+                                str(out / "final.ckpt")]) == 0
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert len(first) == 1 and len(lines) == 2
+        assert lines[0] == first[0] and json.loads(lines[1])["step"] == 1
+
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"train": {"learnig_rate": 1}}))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
+from mmtune import cognitive
 from mmtune.alignment import InstructionSequence, assemble_prefix
 from mmtune.autograd import Tensor
-from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
-                              generate_greedy, init_params)
+from mmtune.cognitive import (DecoderConfig, KVCache, ModelParams, embed_tokens,
+                              forward, generate_greedy, init_params)
+from mmtune.dataset import InstructionExample
 from mmtune.errors import InvalidId, SequenceTooLong
-from mmtune.tokenizer import EOS
+from mmtune.tokenizer import EOS, Vocab
+from mmtune.training import build_sequence
 
 
 def text_sequence(ids, params):
@@ -124,6 +128,112 @@ class TestGenerateGreedy:
                               response_ids=[9, 2])
         with pytest.raises(ValueError):
             generate_greedy(seq, 4, tiny_params, tiny_dec_cfg)
+
+
+def generate_full_recompute(prefix, max_new, params, cfg, eos_id=EOS):
+    """Reference decoder: the whole forward again over the grown sequence
+    for every new token. Returns the ids and each step's last-row logits."""
+    embedded, ids, rows = prefix.embedded, [], []
+    seq = prefix
+    for _ in range(max_new):
+        logits = forward(seq, params, cfg)
+        rows.append(logits.data[-1])
+        next_id = int(np.argmax(logits.data[-1]))
+        if next_id == eos_id:
+            break
+        ids.append(next_id)
+        embedded = ag.concat_rows([embedded, embed_tokens([next_id], params)])
+        seq = InstructionSequence(embedded=embedded, spans=prefix.spans)
+    return ids, rows
+
+
+def recording_forward(monkeypatch):
+    """Wrap the module-level forward that generate_greedy calls; the list
+    returned fills with (input rows, last-row logits) per call."""
+    calls = []
+    inner = cognitive.forward
+
+    def wrapper(seq, *args, **kwargs):
+        out = inner(seq, *args, **kwargs)
+        calls.append((seq.length, out.data[-1].copy()))
+        return out
+
+    monkeypatch.setattr(cognitive, "forward", wrapper)
+    return calls
+
+
+class TestKVCache:
+    @pytest.fixture(params=[1, 4], ids=["heads1", "heads4"])
+    def model(self, request, tiny_mod_cfg):
+        cfg = DecoderConfig(d_e=16, layers=2, heads=request.param, d_ff=32,
+                            vocab_size=260, max_seq_len=96)
+        return cfg, init_params(cfg, tiny_mod_cfg, np.random.default_rng(0))
+
+    @pytest.fixture(params=["text", "media"])
+    def prefix(self, request, model, tiny_mod_cfg):
+        cfg, params = model
+        if request.param == "text":
+            return text_sequence([1, 50, 60, 70, 3], params)
+        media = tuple({"kind": k, "path": f"clip.{k}"}
+                      for k in ("image", "video", "audio"))
+        ex = InstructionExample(id="q", media=media, instruction="what is here",
+                                response="-", source="test")
+        return build_sequence(ex, params, cfg, tiny_mod_cfg, Vocab(),
+                              with_response=False)
+
+    def check_against_oracle(self, monkeypatch, prefix, max_new, params, cfg,
+                             eos_id):
+        want_ids, want_rows = generate_full_recompute(prefix, max_new, params,
+                                                      cfg, eos_id)
+        calls = recording_forward(monkeypatch)
+        assert generate_greedy(prefix, max_new, params, cfg, eos_id) == want_ids
+        assert len(calls) == len(want_rows)
+        for (_, got), want in zip(calls, want_rows):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        return want_ids
+
+    def test_fills_max_seq_len(self, monkeypatch, model, prefix):
+        cfg, params = model
+        max_new = cfg.max_seq_len - prefix.length
+        ids = self.check_against_oracle(monkeypatch, prefix, max_new, params,
+                                        cfg, eos_id=-1)
+        assert len(ids) == max_new
+
+    def test_early_eos(self, monkeypatch, model, prefix):
+        cfg, params = model
+        ids, _ = generate_full_recompute(prefix, 12, params, cfg, eos_id=-1)
+        eos = next(i for i in ids if i != ids[0])  # first stops after >= 1 id
+        got = self.check_against_oracle(monkeypatch, prefix, 12, params, cfg,
+                                        eos_id=eos)
+        assert got == ids[:ids.index(eos)]
+
+    @pytest.mark.parametrize("max_new", [1, 12])
+    def test_one_forward_per_token(self, monkeypatch, tiny_params,
+                                   tiny_dec_cfg, max_new):
+        seq = text_sequence([1, 50, 60, 3], tiny_params)
+        calls = recording_forward(monkeypatch)
+        ids = generate_greedy(seq, max_new, tiny_params, tiny_dec_cfg, eos_id=-1)
+        assert len(calls) == len(ids) == max_new
+        assert [rows for rows, _ in calls] == [seq.length] + [1] * (max_new - 1)
+
+    def test_chunks_match_full_forward(self, model):
+        cfg, params = model
+        ids = list(range(4, 24))
+        full = forward(text_sequence(ids, params), params, cfg).data
+        cache, rows = KVCache.empty(cfg), []
+        with ag.no_grad():
+            for a, b in ((0, 7), (7, 8), (8, 20)):
+                chunk = InstructionSequence(embedded=embed_tokens(ids[a:b], params))
+                rows.append(forward(chunk, params, cfg, cache).data)
+                assert cache.t == b
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-10)
+
+    def test_cache_overflow(self, tiny_params, tiny_dec_cfg):
+        cache = dataclasses.replace(KVCache.empty(tiny_dec_cfg),
+                                    t=tiny_dec_cfg.max_seq_len)
+        with ag.no_grad(), pytest.raises(SequenceTooLong):
+            forward(text_sequence([4], tiny_params), tiny_params, tiny_dec_cfg,
+                    cache)
 
 
 def test_config_rejects_indivisible_heads():

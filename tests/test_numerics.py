@@ -202,6 +202,25 @@ class TestBackward:
         assert rep.passed, rep.failures[:3]
 
 
+class TestNoGrad:
+    def test_outputs_record_no_tape(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        with ag.no_grad():
+            y = ag.sum_all(ag.gelu(ag.matmul(x, ag.transpose(x))))
+        assert y._parents == () and y._backward is None
+        with pytest.raises(NotAttached):
+            y.backward()
+        ag.sum_all(ag.mul(x, x)).backward()  # recording resumes on exit
+        np.testing.assert_allclose(x.grad, [[2.0, -4.0]], atol=1e-12)
+
+    def test_restored_after_exception(self):
+        with pytest.raises(ShapeMismatch):
+            with ag.no_grad():
+                ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        x = Tensor([3.0], requires_grad=True)
+        assert ag.mul(x, x)._parents
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares_passes(self):
         params = {"x": Tensor([1.0, -2.0, 0.5], requires_grad=True)}

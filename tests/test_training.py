@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
+from mmtune import training
 from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
 from mmtune.cognitive import embed_tokens, forward, init_params
@@ -89,6 +90,10 @@ class TestLrSchedule:
         warmup = round(0.03 * total)
         values = [lr_at(s, total, self.CFG) for s in range(warmup, total + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_zero_after_total(self):
+        total = 100
+        assert lr_at(total + 10, total, self.CFG) == 0.0
 
     def test_total_steps_formula(self):
         cfg = TrainConfig(epochs=5, micro_batch=4, grad_accum=3)
@@ -209,6 +214,31 @@ class TestFit:
             resume_from=str(full_dir / "epoch1.ckpt"))
         steps_per_epoch = 2
         assert resumed_metrics == full_metrics[steps_per_epoch:]
+
+    def test_max_steps_stop_writes_no_epoch_checkpoint(
+            self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        cfg = self.small_cfg(micro_batch=1, grad_accum=1)
+        fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+            out_dir=str(tmp_path), max_steps=2)
+        assert os.listdir(tmp_path) == ["final.ckpt"]
+
+    def test_evaluate_records_no_tape(self, tiny_dec_cfg, tiny_mod_cfg, vocab,
+                                      monkeypatch):
+        ckpt, _ = fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab,
+                      self.small_cfg(epochs=1))
+        ex = make_examples(1)[0]
+        seq = build_sequence(ex, ckpt.params, tiny_dec_cfg, tiny_mod_cfg, vocab)
+        want = float(response_nll(forward(seq, ckpt.params, tiny_dec_cfg), seq).data)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(forward(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(training, "forward", recording)
+        rep = evaluate([ex], ckpt)
+        assert [t._parents for t in seen] == [()]
+        assert rep["mean_response_nll"] == want
 
     def test_evaluate_report(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         cfg = self.small_cfg(epochs=1)
