@@ -14,9 +14,6 @@ from .errors import ConfigError
 from .training import TrainConfig
 
 _DATA_DEFAULTS = {
-    "captions": None,      # captions JSONL for dataset-build
-    "train_path": None,    # examples JSONL for train/eval
-    "out_dir": ".",
     "seed": 0,
     "mix": {"n_per_source": None},
 }

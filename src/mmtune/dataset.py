@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (ClientError, EmptyCaption, EmptyDataset, NoPairsFound,
@@ -160,41 +158,25 @@ class SkipReport:
         return len(self.skipped)
 
 
-def generate_examples(captions, client: GenerationClient, max_retries: int = 2,
-                      backoff_s: float = 0.0, max_workers: int = 1):
-    """One query per caption; every parsed pair becomes an example.
+def generate_examples(captions, client: GenerationClient, max_retries: int = 2):
+    """One query per caption, in order; every parsed pair becomes an example.
 
     Captions whose completion fails to parse are skipped and reported.
     A client failure that survives all retries aborts with the examples
-    generated so far attached to the raised ClientError.
+    built from the captions before it attached to the raised ClientError.
     """
-
-    def fetch(caption):
+    examples = []
+    report = SkipReport()
+    for caption in captions:
         prompt = build_prompt(caption)
-        last = None
-        for attempt in range(max_retries + 1):
+        for _ in range(max_retries + 1):
             try:
-                return client.complete(prompt)
+                completion = client.complete(prompt)
+                break
             except ClientError as e:
                 last = e
-                if attempt < max_retries and backoff_s:
-                    time.sleep(backoff_s * (2 ** attempt))
-        raise ClientError(f"caption {caption.id!r}: {last}")
-
-    captions = list(captions)
-    completions = []
-    examples = []
-    try:
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                completions = list(pool.map(fetch, captions))
         else:
-            completions = [fetch(c) for c in captions]
-    except ClientError as e:
-        e.partial = examples
-        raise
-    report = SkipReport()
-    for caption, completion in zip(captions, completions):
+            raise ClientError(f"caption {caption.id!r}: {last}", partial=examples)
         try:
             pairs = parse_qa_pairs(completion)
         except NoPairsFound:

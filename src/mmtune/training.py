@@ -19,12 +19,12 @@ from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
 from .encoders import MediaRef, ModalityConfig
-from .errors import (BadMagic, CorruptPayload, EmptyDataset, NoResponseSpan,
-                     VersionMismatch)
+from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
+                     NoResponseSpan, VersionMismatch)
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,6 @@ class Checkpoint:
     params: ModelParams
     opt_state: AdamState
     step: int
-    rng_state: dict
 
 
 def total_optimizer_steps(n_examples: int, cfg: TrainConfig) -> int:
@@ -220,8 +219,11 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     """Run the full training loop; returns (Checkpoint, metrics list).
 
     Per-epoch checkpoints (and the final one) are written under out_dir when
-    given. resume_from restarts from a saved checkpoint and reproduces the
-    uninterrupted run bitwise.
+    given. Epoch e visits the examples in the order drawn from (cfg.seed, e),
+    so a checkpoint's step alone says where training stands: resume_from
+    restarts from a checkpoint saved at any step and reproduces the
+    uninterrupted run bitwise. Configs that differ from the checkpoint's
+    raise ConfigError.
     """
     dataset = list(dataset)
     if not dataset:
@@ -234,23 +236,21 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     if resume_from is not None:
         ckpt = (load_checkpoint(resume_from) if isinstance(resume_from, str)
                 else resume_from)
+        if (ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg) != (dec_cfg, mod_cfg, cfg):
+            raise ConfigError("run config does not match the checkpoint's "
+                              "decoder, modality and train configs")
         params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
-        rng = np.random.default_rng()
-        rng.bit_generator.state = ckpt.rng_state
-        start_epoch = step // per_epoch if per_epoch else 0
     else:
-        rng = np.random.default_rng(cfg.seed)
         if params is None:
             from .cognitive import init_params
-            params = init_params(dec_cfg, mod_cfg, rng)
+            params = init_params(dec_cfg, mod_cfg, np.random.default_rng(cfg.seed))
         opt_state = AdamState.init(params)
         step = 0
-        start_epoch = 0
 
     metrics = []
-    for epoch in range(start_epoch, cfg.epochs):
-        perm = rng.permutation(n)
-        for i in range(0, n, macro):
+    for epoch in range(step // per_epoch, cfg.epochs):
+        perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        for i in range((step - epoch * per_epoch) * macro, n, macro):
             if max_steps is not None and step >= max_steps:
                 break
             batch = [dataset[j] for j in perm[i:i + macro]]
@@ -265,13 +265,12 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         else:  # only an epoch that ran to its end gets a checkpoint
             if out_dir is not None:
                 ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
-                                  opt_state, step, rng.bit_generator.state)
+                                  opt_state, step)
                 save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
                                 ckpt)
         if max_steps is not None and step >= max_steps:
             break
-    final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
-                       rng.bit_generator.state)
+    final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step)
     if out_dir is not None:
         save_checkpoint(os.path.join(out_dir, "final.ckpt"), final)
     return final, metrics
@@ -365,7 +364,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         _write_tensor(out, "v:" + name, ckpt.opt_state.v[name])
     out += struct.pack("<Q", ckpt.opt_state.t)
     out += struct.pack("<Q", ckpt.step)
-    _write_block(out, _json_bytes(ckpt.rng_state))
     with open(path, "wb") as f:
         f.write(bytes(out))
 
@@ -395,7 +393,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             (state.m if kind == "m" else state.v)[pname] = data
         state.t = r.u64()
         step = r.u64()
-        rng_state = json.loads(r.block())
     except CorruptPayload:
         raise
     except Exception as e:
@@ -406,4 +403,4 @@ def load_checkpoint(path: str) -> Checkpoint:
                       train_cfg=TrainConfig.from_dict(cfg["train"]),
                       mod_cfg=ModalityConfig.from_dict(cfg["modality"]),
                       vocab=vocab, params=ModelParams(tensors),
-                      opt_state=state, step=step, rng_state=rng_state)
+                      opt_state=state, step=step)

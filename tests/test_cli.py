@@ -4,7 +4,7 @@ import os
 import pytest
 
 from mmtune.cli import dispatch
-from mmtune.config import load_config, validate_config
+from mmtune.config import default_config, load_config, validate_config
 from mmtune.errors import ConfigError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -37,6 +37,7 @@ class TestConfig:
         assert t["micro_batch"] == 4
         assert t["grad_accum"] == 3
         assert t["max_seq_len"] == 512
+        assert shipped == default_config()
 
     def test_unknown_key_names_path(self):
         with pytest.raises(ConfigError, match="train.learnig_rate"):
@@ -148,6 +149,13 @@ class TestTrainEvalGenerate:
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(first) == 1 and len(lines) == 2
         assert lines[0] == first[0] and json.loads(lines[1])["step"] == 1
+
+    def test_resume_with_other_config_exits_2(self, trained, tmp_path, capsys):
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(tmp_path), "--seed", "6",
+                         "--resume", str(trained["out"] / "final.ckpt")])
+        assert code == 2
+        assert "does not match the checkpoint" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -107,7 +108,6 @@ class TestGenerateExamples:
         caps = read_captions(os.path.join(DATA, "captions.jsonl"))
         fixdir = tmp_path / "fixtures"
         fixdir.mkdir()
-        import shutil
         for f in os.listdir(os.path.join(DATA, "fixtures")):
             shutil.copy(os.path.join(DATA, "fixtures", f), fixdir / f)
         # corrupt one caption's completion
@@ -126,6 +126,20 @@ class TestGenerateExamples:
             generate_examples(caps, MockGenerationClient(str(empty)),
                               max_retries=1)
         assert exc.value.partial == []
+
+    def test_client_error_keeps_earlier_captions(self, tmp_path):
+        caps = read_captions(os.path.join(DATA, "captions.jsonl"))
+        fixdir = tmp_path / "fixtures"
+        fixdir.mkdir()
+        for c in caps[:2]:
+            name = prompt_key(build_prompt(c)) + ".txt"
+            shutil.copy(os.path.join(DATA, "fixtures", name), fixdir / name)
+        want, _ = generate_examples(
+            caps[:2], MockGenerationClient(os.path.join(DATA, "fixtures")))
+        with pytest.raises(ClientError, match=caps[2].id) as exc:
+            generate_examples(caps, MockGenerationClient(str(fixdir)))
+        assert len(want) == 20
+        assert exc.value.partial == want
 
     def test_retries_then_success(self):
         calls = {"n": 0}

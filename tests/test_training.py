@@ -10,8 +10,8 @@ from mmtune import training
 from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
 from mmtune.cognitive import embed_tokens, forward, init_params
-from mmtune.errors import (BadMagic, CorruptPayload, EmptyDataset,
-                           NoResponseSpan, VersionMismatch)
+from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
+                           EmptyDataset, NoResponseSpan, VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              _batch_loss_and_grads, build_sequence, evaluate,
                              fit, load_checkpoint, lr_at, response_nll,
@@ -215,6 +215,43 @@ class TestFit:
         steps_per_epoch = 2
         assert resumed_metrics == full_metrics[steps_per_epoch:]
 
+    def test_resume_from_every_step(self, tiny_dec_cfg, tiny_mod_cfg, vocab,
+                                    tmp_path):
+        data = make_examples(5)
+        cfg = self.small_cfg(epochs=3, micro_batch=1, grad_accum=2)
+        total = total_optimizer_steps(len(data), cfg)
+        assert total == 9  # 3 steps an epoch, the last one a single example
+        full_dir = tmp_path / "full"
+        full_dir.mkdir()
+        _, full = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                      out_dir=str(full_dir))
+        want = (full_dir / "final.ckpt").read_bytes()
+        for k in range(total + 1):
+            stop_dir, resume_dir = tmp_path / f"stop{k}", tmp_path / f"resume{k}"
+            stop_dir.mkdir()
+            resume_dir.mkdir()
+            fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                out_dir=str(stop_dir), max_steps=k)
+            _, metrics = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                             out_dir=str(resume_dir),
+                             resume_from=str(stop_dir / "final.ckpt"))
+            assert metrics == full[k:], k
+            assert (resume_dir / "final.ckpt").read_bytes() == want, k
+
+    def test_resume_rejects_other_config(self, tiny_dec_cfg, tiny_mod_cfg,
+                                         vocab):
+        data = make_examples(4)
+        cfg = self.small_cfg(epochs=1)
+        ckpt, _ = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg, max_steps=1)
+        for dec, mod, train in [
+                (tiny_dec_cfg, tiny_mod_cfg, self.small_cfg(epochs=1, seed=8)),
+                (tiny_dec_cfg, tiny_mod_cfg, self.small_cfg(epochs=1, lr_peak=2e-3)),
+                (dataclasses.replace(tiny_dec_cfg, alignment_heads=2),
+                 tiny_mod_cfg, cfg),
+                (tiny_dec_cfg, dataclasses.replace(tiny_mod_cfg, l_prime=3), cfg)]:
+            with pytest.raises(ConfigError):
+                fit(data, dec, mod, vocab, train, resume_from=ckpt)
+
     def test_max_steps_stop_writes_no_epoch_checkpoint(
             self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         cfg = self.small_cfg(micro_batch=1, grad_accum=1)
@@ -253,10 +290,8 @@ class TestFit:
 class TestCheckpoint:
     def make_ckpt(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
         return Checkpoint(tiny_dec_cfg, TrainConfig(), tiny_mod_cfg, vocab,
-                          params, AdamState.init(params), step=17,
-                          rng_state=rng.bit_generator.state)
+                          params, AdamState.init(params), step=17)
 
     def test_save_load_save_byte_identical(self, tiny_dec_cfg, tiny_mod_cfg,
                                            vocab, tmp_path):
@@ -276,7 +311,6 @@ class TestCheckpoint:
         assert loaded.dec_cfg == tiny_dec_cfg
         assert loaded.train_cfg == TrainConfig()
         assert loaded.vocab == vocab
-        assert loaded.rng_state == ckpt.rng_state
         for n in ckpt.params.names():
             np.testing.assert_array_equal(loaded.params[n].data,
                                           ckpt.params[n].data)
