@@ -1,9 +1,9 @@
 """Dense float arrays with reverse-mode differentiation.
 
 Everything is numpy under the hood; the Tensor class just records enough
-provenance to run a backward pass. One tape per training step, single
-threaded. Default dtype is float64 so gradients can be checked against
-central finite differences.
+provenance to run a backward pass, and the backward pass consumes it.
+Single threaded. Default dtype is float64 so gradients can be checked
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable tensor.
+
+        The walk consumes the graph: each intermediate (a tensor with
+        parents, this one included) loses its grad, parents and closure once
+        its closure has run, so a second backward raises NotAttached. Leaves
+        keep their .grad."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if not self._parents:
@@ -66,9 +71,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # dropping an intermediate's closure frees the activations it saved,
+        # so memory falls as the walk goes instead of peaking at its end
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad, node._parents, node._backward = None, (), None
 
     # operator sugar; all math lives in the module-level functions
     def __add__(self, other):
@@ -107,8 +117,11 @@ def _accum(t: Tensor, g: np.ndarray):
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: add hands the same g to both parents, and reshape and
+        # transpose hand on views of it
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -5,6 +5,7 @@ checkpoint format that restores training bitwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -18,13 +19,14 @@ from . import encoders
 from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
+from .dataset import example_to_line
 from .encoders import MediaRef, ModalityConfig
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
                      NoResponseSpan, VersionMismatch)
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -155,23 +157,24 @@ def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
 def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
                           micro_batches):
     """Accumulate gradients of the mean loss over `examples`, computed in
-    micro-batch chunks. Returns (loss value, grads dict)."""
+    micro-batch chunks. Returns (loss value, grads dict).
+
+    Each example runs its own backward, so at most one example's tape is
+    alive at a time whatever the micro-batch size."""
     n_total = len(examples)
     grads = {name: np.zeros_like(params[name].data) for name in params.names()}
     total_loss = 0.0
     for micro in micro_batches:
         params.zero_grad()
-        loss = None
         for ex in micro:
             seq = build_sequence(ex, params, dec_cfg, mod_cfg, vocab, cfg)
             logits = forward(seq, params, dec_cfg)
-            l = response_nll(logits, seq, reduction=cfg.loss_reduction)
-            loss = l if loss is None else ag.add(loss, l)
-        # sum over the micro, normalized by the full batch size, so grads
-        # accumulated over micros equal the single-batch mean gradient
-        loss = ag.mul(loss, 1.0 / n_total)
-        loss.backward()
-        total_loss += float(loss.data)
+            # normalized by the full batch size, so grads accumulated over
+            # examples and micros equal the single-batch mean gradient
+            loss = ag.mul(response_nll(logits, seq, reduction=cfg.loss_reduction),
+                          1.0 / n_total)
+            loss.backward()
+            total_loss += float(loss.data)
         for name in params.names():
             g = params[name].grad
             if g is not None:
@@ -205,6 +208,15 @@ class Checkpoint:
     params: ModelParams
     opt_state: AdamState
     step: int
+    dataset_hash: str = ""
+
+
+def _dataset_hash(dataset) -> str:
+    """blake2b over the examples' JSONL lines, in the order given."""
+    h = hashlib.blake2b(digest_size=16)
+    for ex in dataset:
+        h.update(example_to_line(ex).encode("utf-8") + b"\n")
+    return h.hexdigest()
 
 
 def total_optimizer_steps(n_examples: int, cfg: TrainConfig) -> int:
@@ -222,8 +234,8 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     given. Epoch e visits the examples in the order drawn from (cfg.seed, e),
     so a checkpoint's step alone says where training stands: resume_from
     restarts from a checkpoint saved at any step and reproduces the
-    uninterrupted run bitwise. Configs that differ from the checkpoint's
-    raise ConfigError.
+    uninterrupted run bitwise. Configs or a dataset (its examples and their
+    order) that differ from the checkpoint's raise ConfigError.
     """
     dataset = list(dataset)
     if not dataset:
@@ -232,6 +244,7 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)
     total = cfg.epochs * per_epoch
+    data_hash = _dataset_hash(dataset)
 
     if resume_from is not None:
         ckpt = (load_checkpoint(resume_from) if isinstance(resume_from, str)
@@ -239,6 +252,9 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         if (ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg) != (dec_cfg, mod_cfg, cfg):
             raise ConfigError("run config does not match the checkpoint's "
                               "decoder, modality and train configs")
+        if ckpt.dataset_hash != data_hash:
+            raise ConfigError("dataset does not match the one the checkpoint "
+                              "was trained on")
         params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
     else:
         if params is None:
@@ -265,12 +281,13 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         else:  # only an epoch that ran to its end gets a checkpoint
             if out_dir is not None:
                 ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
-                                  opt_state, step)
+                                  opt_state, step, data_hash)
                 save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
                                 ckpt)
         if max_steps is not None and step >= max_steps:
             break
-    final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step)
+    final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
+                       data_hash)
     if out_dir is not None:
         save_checkpoint(os.path.join(out_dir, "final.ckpt"), final)
     return final, metrics
@@ -351,7 +368,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     out += _CKPT_MAGIC
     out += struct.pack("<I", _CKPT_VERSION)
     cfg = {"decoder": ckpt.dec_cfg.to_dict(), "train": ckpt.train_cfg.to_dict(),
-           "modality": ckpt.mod_cfg.to_dict()}
+           "modality": ckpt.mod_cfg.to_dict(), "dataset": ckpt.dataset_hash}
     _write_block(out, _json_bytes(cfg))
     _write_block(out, _json_bytes(ckpt.vocab.to_dict()))
     names = ckpt.params.names()
@@ -364,8 +381,19 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         _write_tensor(out, "v:" + name, ckpt.opt_state.v[name])
     out += struct.pack("<Q", ckpt.opt_state.t)
     out += struct.pack("<Q", ckpt.step)
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    # write beside the target and rename over it, so a crash mid-write
+    # leaves the previous file at `path` intact
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(out)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -403,4 +431,4 @@ def load_checkpoint(path: str) -> Checkpoint:
                       train_cfg=TrainConfig.from_dict(cfg["train"]),
                       mod_cfg=ModalityConfig.from_dict(cfg["modality"]),
                       vocab=vocab, params=ModelParams(tensors),
-                      opt_state=state, step=step)
+                      opt_state=state, step=step, dataset_hash=cfg["dataset"])

@@ -157,6 +157,16 @@ class TestTrainEvalGenerate:
         assert code == 2
         assert "does not match the checkpoint" in capsys.readouterr().err
 
+    def test_resume_with_other_data_exits_2(self, trained, tmp_path, capsys):
+        lines = open(trained["data"], encoding="utf-8").read().splitlines()
+        data = tmp_path / "fewer.jsonl"
+        data.write_text("\n".join(lines[:3]) + "\n")
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         str(data), "--out", str(tmp_path / "run"), "--seed", "5",
+                         "--resume", str(trained["out"] / "final.ckpt")])
+        assert code == 2
+        assert "dataset does not match" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"train": {"learnig_rate": 1}}))

@@ -169,6 +169,43 @@ class TestBackward:
         ag.sum_all(ag.mul(x, x)).backward()
         assert y.grad is None
 
+    def test_backward_consumes_the_tape(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        w = Tensor([[0.5], [3.0]], requires_grad=True)
+        h = ag.matmul(x, w)
+        y = ag.gelu(h)
+        loss = ag.sum_all(y)
+        loss.backward()
+        for t in (h, y, loss):
+            assert t.grad is None and t._parents == () and t._backward is None
+        assert loss.item() == float(y.data.sum())  # data outlives the tape
+        assert x.grad.shape == (1, 2) and w.grad.shape == (2, 1)
+        with pytest.raises(NotAttached):
+            loss.backward()
+
+    def test_first_gradient_not_shared_across_add(self):
+        x1 = Tensor([1.0, 2.0], requires_grad=True)
+        x2 = Tensor([3.0, 4.0], requires_grad=True)
+        ag.sum_all(ag.mul(ag.add(x1, x2), Tensor([5.0, 6.0]))).backward()
+        assert x1.grad is not x2.grad
+        x1.grad += 1.0
+        np.testing.assert_array_equal(x1.grad, [6.0, 7.0])
+        np.testing.assert_array_equal(x2.grad, [5.0, 6.0])
+
+    def test_first_gradient_not_shared_through_views(self):
+        # add hands one array to both branches; transpose and reshape hand
+        # on views of it, which must not become a's gradient
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.zeros(6), requires_grad=True)
+        c = Tensor(np.arange(1.0, 7.0))
+        flat = ag.reshape(ag.transpose(a), (6,))
+        ag.sum_all(ag.mul(ag.add(flat, b), c)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(b.grad, c.data)
+        np.testing.assert_array_equal(a.grad, c.data.reshape(3, 2).T)
+        b.grad[:] = 0.0
+        np.testing.assert_array_equal(a.grad, c.data.reshape(3, 2).T)
+
     def test_composed_ops_match_finite_diff(self):
         rng = np.random.default_rng(6)
         params = {"a": Tensor(rng.normal(size=(3, 4)), requires_grad=True),

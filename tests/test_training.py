@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mmtune import autograd as ag
 from mmtune import training
 from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
-from mmtune.cognitive import embed_tokens, forward, init_params
+from mmtune.cognitive import DecoderConfig, embed_tokens, forward, init_params
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            EmptyDataset, NoResponseSpan, VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
@@ -114,6 +115,51 @@ class TestGradAccumulation:
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
+
+    @staticmethod
+    def tape_bound_setup(mod_cfg):
+        """A config where the tape dominates: ~220-token sequences whose
+        4 x n x n attention arrays dwarf the parameters."""
+        dec_cfg = DecoderConfig(d_e=32, layers=1, heads=4, d_ff=64,
+                                vocab_size=260, max_seq_len=256)
+        params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
+        examples = [dataclasses.replace(ex, response=((ex.response + " ") * 40)[:200])
+                    for ex in make_examples(4)]
+        return dec_cfg, params, examples
+
+    def test_peak_memory_bounded_by_one_example(self, tiny_mod_cfg, vocab):
+        dec_cfg, params, examples = self.tape_bound_setup(tiny_mod_cfg)
+        cfg = TrainConfig(micro_batch=4, grad_accum=1, max_seq_len=256)
+
+        def peak(micro):
+            tracemalloc.start()
+            try:
+                _batch_loss_and_grads(micro, params, dec_cfg, tiny_mod_cfg,
+                                      vocab, cfg, [micro])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(examples[:1]), peak(examples)
+        assert four < 1.5 * one, (one, four)
+
+    def test_backward_releases_the_tape(self, tiny_mod_cfg, vocab):
+        dec_cfg, params, examples = self.tape_bound_setup(tiny_mod_cfg)
+        ex = examples[0]
+        tracemalloc.start()
+        try:
+            seq = build_sequence(ex, params, dec_cfg, tiny_mod_cfg, vocab)
+            loss = response_nll(forward(seq, params, dec_cfg), seq)
+            tape = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gradients are freed as the walk goes, and with the closures gone
+        # the root and the sequence the caller holds keep no activations
+        assert peak < 1.75 * tape, (tape, peak)
+        assert held < 0.15 * tape, (tape, held)
 
 
 class TestBuildSequence:
@@ -252,6 +298,16 @@ class TestFit:
             with pytest.raises(ConfigError):
                 fit(data, dec, mod, vocab, train, resume_from=ckpt)
 
+    def test_resume_rejects_other_dataset(self, tiny_dec_cfg, tiny_mod_cfg,
+                                          vocab):
+        data = make_examples(8)
+        cfg = self.small_cfg(micro_batch=1, grad_accum=2)
+        ckpt, _ = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg, max_steps=3)
+        for other in (data[:3], data[::-1]):
+            with pytest.raises(ConfigError, match="dataset"):
+                fit(other, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                    resume_from=ckpt)
+
     def test_max_steps_stop_writes_no_epoch_checkpoint(
             self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         cfg = self.small_cfg(micro_batch=1, grad_accum=1)
@@ -314,6 +370,47 @@ class TestCheckpoint:
         for n in ckpt.params.names():
             np.testing.assert_array_equal(loaded.params[n].data,
                                           ckpt.params[n].data)
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_save_keeps_previous_checkpoint(
+            self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path, monkeypatch,
+            failing):
+        p = str(tmp_path / "h.ckpt")
+        ckpt = self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab)
+        save_checkpoint(p, ckpt)
+        before = open(p, "rb").read()
+        ckpt.step = 18
+        real_open = open
+
+        class HalfWrite:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.f.write(bytes(b)[:len(b) // 2])
+                raise OSError("disk full")
+
+        def replace(src, dst):
+            raise OSError("rename failed")
+
+        if failing == "write":
+            monkeypatch.setattr(training, "open",
+                                lambda *a, **k: HalfWrite(real_open(*a, **k)),
+                                raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            save_checkpoint(p, ckpt)
+        monkeypatch.undo()
+        assert open(p, "rb").read() == before
+        assert load_checkpoint(p).step == 17
+        assert os.listdir(tmp_path) == ["h.ckpt"]
 
     def test_truncated(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         p = str(tmp_path / "d.ckpt")
