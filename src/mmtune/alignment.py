@@ -18,31 +18,6 @@ from .errors import BadLength, MissingText, ShapeMismatch
 MODALITY_ORDER = ("image", "video", "audio")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
-              mask=None) -> Tensor:
-    """softmax(QK^T / sqrt(d_head) + mask) V for q: n×d, k: m×d, v: m×d_v.
-
-    The columns split into `heads` equal groups that run as one batched
-    product; the n×m additive `mask` is shared by every head."""
-    if q.shape[1] != k.shape[1]:
-        raise ShapeMismatch(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeMismatch(f"{k.shape[0]} keys vs {v.shape[0]} values")
-    if q.shape[1] % heads or v.shape[1] % heads:
-        raise ShapeMismatch(f"widths {q.shape[1]}, {v.shape[1]} not divisible by {heads} heads")
-
-    def split(t):  # rows×(heads·w) -> heads×rows×w
-        return ag.transpose(ag.reshape(t, (t.shape[0], heads, -1)), (1, 0, 2))
-
-    # scale q, not the heads×n×m scores: one pass less over the largest array
-    q = ag.mul(q, 1.0 / math.sqrt(q.shape[1] // heads))
-    scores = ag.matmul(split(q), ag.transpose(split(k)))
-    if mask is not None:
-        scores = ag.add(scores, mask)
-    out = ag.matmul(ag.softmax_rows(scores), split(v))
-    return ag.reshape(ag.transpose(out, (1, 0, 2)), (q.shape[0], v.shape[1]))
-
-
 def derive_stride_kernel(length: int, l_prime: int) -> tuple[int, int]:
     """Stride and kernel size that force conv output length == l_prime."""
     if length < l_prime:
@@ -119,9 +94,9 @@ def align(h_prime: Tensor, embed_matrix: Tensor, kind: str = "image",
             f"soft-token width {h_prime.shape[1]} != embedding width {embed_matrix.shape[1]}")
     e = ag.stop_gradient(embed_matrix) if freeze_embedding else embed_matrix
     if proj is None:
-        return AlignedTokens(matrix=attention(h_prime, e, e, heads), kind=kind)
-    out = attention(ag.matmul(h_prime, proj["wq"]), ag.matmul(e, proj["wk"]),
-                    ag.matmul(e, proj["wv"]), heads)
+        return AlignedTokens(matrix=ag.attention(h_prime, e, e, heads), kind=kind)
+    out = ag.attention(ag.matmul(h_prime, proj["wq"]), ag.matmul(e, proj["wk"]),
+                       ag.matmul(e, proj["wv"]), heads)
     return AlignedTokens(matrix=ag.matmul(out, proj["wo"]), kind=kind)
 
 

@@ -117,11 +117,25 @@ def _accum(t: Tensor, g: np.ndarray):
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        # a copy: add hands the same g to both parents, and reshape and
-        # transpose hand on views of it
+        # a copy: add hands the same g to both parents, and transpose hands
+        # on a view of it
         t.grad = g.copy()
     else:
         t.grad += g
+
+
+def _scatter(t: Tensor, index, g: np.ndarray, repeats=False):
+    """Add g into t.grad[index], allocating t.grad on first use. With
+    `repeats` the index arrays may name one position more than once, and
+    np.add.at sums every repeat."""
+    if not (t.requires_grad or t._parents):
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    if repeats:
+        np.add.at(t.grad, index, g)
+    else:
+        t.grad[index] += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -196,26 +210,14 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
-    """Permute axes; by default swap the last two."""
-    a = _as_tensor(a)
-    if axes is None:
-        axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        _accum(a, np.transpose(g, inverse))
-
-    return _node(np.transpose(a.data, axes), (a,), bwd)
-
-
-def reshape(a, shape) -> Tensor:
+def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(a, np.swapaxes(g, -1, -2))
 
-    return _node(a.data.reshape(shape), (a,), bwd)
+    return _node(np.swapaxes(a.data, -1, -2), (a,), bwd)
 
 
 def sum_all(a) -> Tensor:
@@ -264,6 +266,56 @@ def log_softmax_rows(m) -> Tensor:
     return _node(out, (m,), bwd)
 
 
+def attention(q, k, v, heads=1, causal=False) -> Tensor:
+    """softmax(QK^T / sqrt(d_head)) V for q: n×d, k: m×d, v: m×d_v, as one node.
+
+    The columns split into `heads` equal groups that run as one batched
+    product. With `causal` the n queries are the last n of the m key
+    positions, so query i sees keys [0, m - n + i]: a full sequence, a
+    prefill and one KV-cached row all take the same call. The node keeps
+    only the probabilities P and the split q, k and v; with G the output's
+    gradient and dP = G V^T, its backward is dV = P^T G,
+    dS = P * (dP - rowsum(dP * P)), dQ = s dS K and dK = s dS^T Q, where
+    s = 1/sqrt(d_head)."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    (n, d), m = q.shape, k.shape[0]
+    if d != k.shape[1]:
+        raise ShapeMismatch(f"query dim {d} != key dim {k.shape[1]}")
+    if m != v.shape[0]:
+        raise ShapeMismatch(f"{m} keys vs {v.shape[0]} values")
+    if d % heads or v.shape[1] % heads:
+        raise ShapeMismatch(f"widths {d}, {v.shape[1]} not divisible by {heads} heads")
+    if causal and n > m:
+        raise ShapeMismatch(f"causal attention of {n} queries over {m} keys")
+
+    def split(a):  # rows×(heads·w) -> heads×rows×w
+        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(a):  # heads×rows×w -> rows×(heads·w)
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    # scale q, not the heads×n×m scores: one pass less over the largest array
+    scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    p = qh @ kh.transpose(0, 2, 1)
+    if causal:
+        np.copyto(p, -np.inf, where=np.arange(m) > np.arange(m - n, m)[:, None])
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        _accum(q, merge(ds @ kh) * scale)
+        _accum(k, merge(ds.transpose(0, 2, 1) @ qh))
+        _accum(v, merge(p.transpose(0, 2, 1) @ gh))
+
+    return _node(merge(p @ vh), (q, k, v), bwd)
+
+
 def gelu(a) -> Tensor:
     """tanh-approximation GELU; smooth, so finite differences stay honest."""
     a = _as_tensor(a)
@@ -304,17 +356,9 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
 
 def embedding(table, ids) -> Tensor:
     """Row lookup into `table` (V×d). Gradient scatters back into the table."""
-    table = _as_tensor(table)
-    idx = np.asarray(ids, dtype=np.int64)
-
-    def bwd(g):
-        if not (table.requires_grad or table._parents):
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
-
-    return _node(table.data[idx], (table,), bwd)
+    table, idx = _as_tensor(table), np.asarray(ids, dtype=np.int64)
+    return _node(table.data[idx], (table,),
+                 lambda g: _scatter(table, idx, g, repeats=True))
 
 
 def concat_rows(parts) -> Tensor:
@@ -342,41 +386,20 @@ def concat_cols(parts) -> Tensor:
 
 
 def slice_rows(a, start, stop) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accum(a, full)
-
-    return _node(a.data[start:stop], (a,), bwd)
+    a, index = _as_tensor(a), np.s_[start:stop]
+    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
 
 
 def slice_cols(a, start, stop) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accum(a, full)
-
-    return _node(a.data[:, start:stop], (a,), bwd)
+    a, index = _as_tensor(a), np.s_[:, start:stop]
+    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
 
 
 def pick(a, row_idx, col_idx) -> Tensor:
     """Gather a[row_idx[i], col_idx[i]] into a 1-D tensor."""
     a = _as_tensor(a)
-    rows = np.asarray(row_idx, dtype=np.int64)
-    cols = np.asarray(col_idx, dtype=np.int64)
-
-    def bwd(g):
-        if not (a.requires_grad or a._parents):
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (rows, cols), g)
-
-    return _node(a.data[rows, cols], (a,), bwd)
+    index = (np.asarray(row_idx, dtype=np.int64), np.asarray(col_idx, dtype=np.int64))
+    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g, repeats=True))
 
 
 def stop_gradient(a) -> Tensor:

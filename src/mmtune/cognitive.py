@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autograd as ag
-from .alignment import (InstructionSequence, TransformWeights, attention,
+from .alignment import (InstructionSequence, TransformWeights,
                         init_transform_weights)
 from .autograd import Tensor
 from .encoders import ModalityConfig
@@ -132,20 +132,6 @@ def embed_tokens(ids, params: ModelParams) -> Tensor:
     return ag.embedding(params.embedding, idx)
 
 
-_mask = np.zeros((0, 0))
-
-
-def _causal_mask(t: int, n: int, max_len: int) -> np.ndarray:
-    """The [t:n, :n] block of one cached additive causal mask, built at
-    max_len (or n, if larger) so that decoding at growing lengths keeps a
-    single array."""
-    global _mask
-    if _mask.shape[0] < n:
-        size = max(n, max_len)
-        _mask = np.triu(np.full((size, size), -1e9), k=1)
-    return _mask[t:n, :n]
-
-
 @dataclass
 class KVCache:
     """Per-layer keys and values of the first `t` positions, in buffers of
@@ -161,8 +147,7 @@ class KVCache:
 
 
 def _self_attention(x: Tensor, params: ModelParams, layer: int,
-                    cfg: DecoderConfig, mask: Tensor,
-                    cache: KVCache | None) -> Tensor:
+                    cfg: DecoderConfig, cache: KVCache | None) -> Tensor:
     p = f"layers.{layer}.attn"
     q = ag.matmul(x, params[f"{p}.wq"])
     k = ag.matmul(x, params[f"{p}.wk"])
@@ -172,7 +157,8 @@ def _self_attention(x: Tensor, params: ModelParams, layer: int,
         cache.kv[layer, 0, t:n] = k.data
         cache.kv[layer, 1, t:n] = v.data
         k, v = Tensor(cache.kv[layer, 0, :n]), Tensor(cache.kv[layer, 1, :n])
-    return ag.matmul(attention(q, k, v, cfg.heads, mask), params[f"{p}.wo"])
+    return ag.matmul(ag.attention(q, k, v, cfg.heads, causal=True),
+                     params[f"{p}.wo"])
 
 
 def forward(seq: InstructionSequence, params: ModelParams,
@@ -186,11 +172,10 @@ def forward(seq: InstructionSequence, params: ModelParams,
     if n > cfg.max_seq_len:
         raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
     x = ag.add(seq.embedded, ag.slice_rows(params["pos"], t, n))
-    mask = Tensor(_causal_mask(t, n, cfg.max_seq_len))
     for i in range(cfg.layers):
         p = f"layers.{i}"
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = ag.add(x, _self_attention(h, params, i, cfg, mask, cache))
+        x = ag.add(x, _self_attention(h, params, i, cfg, cache))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.matmul(ag.gelu(ag.add(ag.matmul(h, params[f"{p}.ffn.w1"]),
                                      params[f"{p}.ffn.b1"])),

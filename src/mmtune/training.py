@@ -318,19 +318,17 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _write_block(out: bytearray, payload: bytes):
-    out += struct.pack("<I", len(payload))
-    out += payload
+def _write_block(f, payload: bytes):
+    f.write(struct.pack("<I", len(payload)))
+    f.write(payload)
 
 
-def _write_tensor(out: bytearray, name: str, arr: np.ndarray):
+def _write_tensor(f, name: str, arr: np.ndarray):
+    """Name, rank and shape, then the tensor's C-order <f8 bytes."""
     nb = name.encode("utf-8")
-    out += struct.pack("<I", len(nb))
-    out += nb
-    out += struct.pack("<I", arr.ndim)
-    for d in arr.shape:
-        out += struct.pack("<I", d)
-    out += arr.astype("<f8").tobytes(order="C")
+    f.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim,
+                        *arr.shape))
+    f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 class _Reader:
@@ -364,29 +362,25 @@ class _Reader:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    out = bytearray()
-    out += _CKPT_MAGIC
-    out += struct.pack("<I", _CKPT_VERSION)
     cfg = {"decoder": ckpt.dec_cfg.to_dict(), "train": ckpt.train_cfg.to_dict(),
            "modality": ckpt.mod_cfg.to_dict(), "dataset": ckpt.dataset_hash}
-    _write_block(out, _json_bytes(cfg))
-    _write_block(out, _json_bytes(ckpt.vocab.to_dict()))
     names = ckpt.params.names()
-    out += struct.pack("<I", len(names))
-    for name in names:
-        _write_tensor(out, name, ckpt.params[name].data)
-    out += struct.pack("<I", 2 * len(names))
-    for name in names:
-        _write_tensor(out, "m:" + name, ckpt.opt_state.m[name])
-        _write_tensor(out, "v:" + name, ckpt.opt_state.v[name])
-    out += struct.pack("<Q", ckpt.opt_state.t)
-    out += struct.pack("<Q", ckpt.step)
-    # write beside the target and rename over it, so a crash mid-write
-    # leaves the previous file at `path` intact
+    # stream into a file beside the target and rename it over the target, so
+    # a crash mid-write leaves the previous file at `path` intact
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(out)
+            f.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION))
+            _write_block(f, _json_bytes(cfg))
+            _write_block(f, _json_bytes(ckpt.vocab.to_dict()))
+            f.write(struct.pack("<I", len(names)))
+            for name in names:
+                _write_tensor(f, name, ckpt.params[name].data)
+            f.write(struct.pack("<I", 2 * len(names)))
+            for name in names:
+                _write_tensor(f, "m:" + name, ckpt.opt_state.m[name])
+                _write_tensor(f, "v:" + name, ckpt.opt_state.v[name])
+            f.write(struct.pack("<QQ", ckpt.opt_state.t, ckpt.step))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -421,14 +415,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             (state.m if kind == "m" else state.v)[pname] = data
         state.t = r.u64()
         step = r.u64()
+        if r.pos != len(raw):
+            raise CorruptPayload(f"{path}: {len(raw) - r.pos} trailing bytes")
+        return Checkpoint(dec_cfg=DecoderConfig.from_dict(cfg["decoder"]),
+                          train_cfg=TrainConfig.from_dict(cfg["train"]),
+                          mod_cfg=ModalityConfig.from_dict(cfg["modality"]),
+                          vocab=vocab, params=ModelParams(tensors),
+                          opt_state=state, step=step, dataset_hash=cfg["dataset"])
     except CorruptPayload:
         raise
     except Exception as e:
-        raise CorruptPayload(f"{path}: {e}") from e
-    if r.pos != len(raw):
-        raise CorruptPayload(f"{path}: {len(raw) - r.pos} trailing bytes")
-    return Checkpoint(dec_cfg=DecoderConfig.from_dict(cfg["decoder"]),
-                      train_cfg=TrainConfig.from_dict(cfg["train"]),
-                      mod_cfg=ModalityConfig.from_dict(cfg["modality"]),
-                      vocab=vocab, params=ModelParams(tensors),
-                      opt_state=state, step=step, dataset_hash=cfg["dataset"])
+        raise CorruptPayload(f"{path}: {e!r}") from e

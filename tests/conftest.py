@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,23 @@ def make_examples(n, kinds=("image", "video", "audio"), source="synthetic"):
 @pytest.fixture
 def examples16():
     return make_examples(16)
+
+
+def rewrite_ckpt_config(path, edit):
+    """Apply `edit` to the config dict of the checkpoint at `path`, in place,
+    leaving every other byte as it was."""
+    raw = open(path, "rb").read()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    cfg = json.loads(raw[12:12 + n])
+    edit(cfg)
+    block = json.dumps(cfg).encode("utf-8")
+    open(path, "wb").write(raw[:8] + struct.pack("<I", len(block)) + block
+                           + raw[12 + n:])
+
+
+def bogus_decoder_key(cfg):
+    cfg["decoder"]["bogus"] = 1
+
+
+def drop_dataset_key(cfg):
+    del cfg["dataset"]

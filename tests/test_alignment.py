@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
-from mmtune.alignment import (AlignedTokens, align, assemble_prefix, attention,
+from mmtune.alignment import (AlignedTokens, align, assemble_prefix,
                               derive_stride_kernel, init_transform_weights,
                               transform)
-from mmtune.autograd import Tensor, finite_diff_check
+from mmtune.autograd import Tensor, attention, finite_diff_check
 from mmtune.encoders import ModalityFeatures
 from mmtune.errors import BadLength, MissingText, ShapeMismatch
 
 
-def attention_oracle(q, k, v, heads=1, mask=None):
+def causal_mask(n, m):
+    """Additive mask for n queries that are the last n of m key positions."""
+    return np.triu(np.full((n, m), -1e9), k=m - n + 1)
+
+
+def attention_oracle(q, k, v, heads=1, causal=False):
     """Independent numpy computation of scaled dot-product attention, one
     head at a time over equal column groups."""
+    mask = causal_mask(q.shape[0], k.shape[0]) if causal else None
     outs = []
     for qh, kh, vh in zip(np.split(q, heads, axis=1), np.split(k, heads, axis=1),
                           np.split(v, heads, axis=1)):
@@ -24,6 +30,29 @@ def attention_oracle(q, k, v, heads=1, mask=None):
         w /= w.sum(axis=1, keepdims=True)
         outs.append(w @ vh)
     return np.concatenate(outs, axis=1)
+
+
+def composed_attention(q, k, v, heads=1, causal=False):
+    """Attention composed from elementary autograd ops, one head at a time:
+    the gradient oracle for the single attention node. Products with 0/1
+    selector matrices pick each head's columns and put its output back."""
+    mask = Tensor(causal_mask(q.shape[0], k.shape[0])) if causal else None
+
+    def selector(width, h):  # width×(width/heads), the h-th column group
+        w = width // heads
+        return Tensor(np.eye(width)[:, h * w:(h + 1) * w])
+
+    out = None
+    for h in range(heads):
+        sq, sv = selector(q.shape[1], h), selector(v.shape[1], h)
+        qh = ag.mul(ag.matmul(q, sq), 1.0 / np.sqrt(sq.shape[1]))
+        scores = ag.matmul(qh, ag.transpose(ag.matmul(k, sq)))
+        if mask is not None:
+            scores = ag.add(scores, mask)
+        head = ag.matmul(ag.matmul(ag.softmax_rows(scores), ag.matmul(v, sv)),
+                         ag.transpose(sv))
+        out = head if out is None else ag.add(out, head)
+    return out
 
 
 class TestAttention:
@@ -57,11 +86,47 @@ class TestAttention:
     def test_matches_oracle_random(self, heads, causal):
         rng = np.random.default_rng(2)
         q, k, v = rng.normal(size=(5, 8)), rng.normal(size=(7, 8)), rng.normal(size=(7, 4))
-        mask = np.triu(np.full((5, 7), -1e9), k=1) if causal else None
-        out = attention(Tensor(q), Tensor(k), Tensor(v), heads,
-                        None if mask is None else Tensor(mask))
-        np.testing.assert_allclose(out.data, attention_oracle(q, k, v, heads, mask),
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads, causal=causal)
+        np.testing.assert_allclose(out.data, attention_oracle(q, k, v, heads, causal),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(7, 7), (4, 7), (1, 7), (1, 1)],
+                             ids=["n=m", "n<m", "one-row", "one-key"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["nomask", "causal"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_composed_ops(self, heads, causal, n, m):
+        # n < m is a prefill or decode step after a cache of m - n positions
+        rng = np.random.default_rng(12)
+        data = {"q": rng.normal(size=(n, 8)), "k": rng.normal(size=(m, 8)),
+                "v": rng.normal(size=(m, 4))}
+        upstream = rng.normal(size=(n, 4))
+        results = []
+        for op in (attention, composed_attention):
+            p = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+            out = op(p["q"], p["k"], p["v"], heads, causal=causal)
+            ag.sum_all(ag.mul(out, upstream)).backward()
+            results.append([out.data] + [p[name].grad for name in "qkv"])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_causal_finite_diff(self):
+        rng = np.random.default_rng(13)
+        params = {"q": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "k": Tensor(rng.normal(size=(5, 4)), requires_grad=True),
+                  "v": Tensor(rng.normal(size=(5, 6)), requires_grad=True)}
+        weights = Tensor(rng.normal(size=(3, 6)))
+
+        def fn(p):
+            out = attention(p["q"], p["k"], p["v"], heads=2, causal=True)
+            return ag.sum_all(ag.mul(out, weights))
+
+        rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
+        assert rep.passed, rep.failures[:3]
+
+    def test_causal_more_queries_than_keys(self):
+        with pytest.raises(ShapeMismatch):
+            attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))),
+                      Tensor(np.ones((2, 4))), causal=True)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

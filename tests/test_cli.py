@@ -6,6 +6,7 @@ import pytest
 from mmtune.cli import dispatch
 from mmtune.config import default_config, load_config, validate_config
 from mmtune.errors import ConfigError
+from conftest import bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -185,6 +186,15 @@ class TestTrainEvalGenerate:
     def test_eval_bad_checkpoint(self, tmp_path, trained):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"JUNKJUNK")
+        assert dispatch(["eval", "--checkpoint", str(p),
+                         "--data", trained["data"]]) == 3
+
+    @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key],
+                             ids=["extra-key", "missing-dataset"])
+    def test_eval_bad_config_block(self, tmp_path, trained, edit):
+        p = tmp_path / "cfg.ckpt"
+        p.write_bytes((trained["out"] / "final.ckpt").read_bytes())
+        rewrite_ckpt_config(str(p), edit)
         assert dispatch(["eval", "--checkpoint", str(p),
                          "--data", trained["data"]]) == 3
 

@@ -10,14 +10,16 @@ from mmtune import autograd as ag
 from mmtune import training
 from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
-from mmtune.cognitive import DecoderConfig, embed_tokens, forward, init_params
+from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
+                              init_params)
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            EmptyDataset, NoResponseSpan, VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              _batch_loss_and_grads, build_sequence, evaluate,
                              fit, load_checkpoint, lr_at, response_nll,
                              save_checkpoint, total_optimizer_steps, train_step)
-from conftest import make_examples
+from conftest import (bogus_decoder_key, drop_dataset_key, make_examples,
+                      rewrite_ckpt_config)
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
@@ -119,7 +121,7 @@ class TestGradAccumulation:
     @staticmethod
     def tape_bound_setup(mod_cfg):
         """A config where the tape dominates: ~220-token sequences whose
-        4 x n x n attention arrays dwarf the parameters."""
+        4 x n x n attention probabilities dwarf the parameters."""
         dec_cfg = DecoderConfig(d_e=32, layers=1, heads=4, d_ff=64,
                                 vocab_size=260, max_seq_len=256)
         params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
@@ -204,6 +206,55 @@ class TestTrainStep:
                     for _ in range(3)]
 
         assert run() == run()
+
+    def grads_given_to_adam(self, monkeypatch, dec_cfg, mod_cfg, vocab, cfg):
+        """The grads one train_step hands to adam_update, from fixed params."""
+        seen = []
+        monkeypatch.setattr(training, "adam_update",
+                            lambda params, grads, *rest: seen.append(grads))
+        params = init_params(dec_cfg, mod_cfg, np.random.default_rng(2))
+        m = train_step(make_examples(4), params, AdamState.init(params), cfg,
+                       dec_cfg, mod_cfg, vocab, lr=1e-3)
+        return m["grad_norm"], seen[0]
+
+    def test_max_grad_norm(self, monkeypatch, tiny_dec_cfg, tiny_mod_cfg, vocab):
+        cfg = TrainConfig(micro_batch=2, grad_accum=2, max_seq_len=96)
+        args = (monkeypatch, tiny_dec_cfg, tiny_mod_cfg, vocab)
+        norm, raw = self.grads_given_to_adam(*args, cfg)
+        for limit in (0.5 * norm, 2.0 * norm):
+            capped = dataclasses.replace(cfg, max_grad_norm=limit)
+            got_norm, grads = self.grads_given_to_adam(*args, capped)
+            assert got_norm == norm  # the metric reports the norm before clipping
+            clipped = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if limit < norm:
+                assert clipped == pytest.approx(limit, rel=0, abs=1e-12)
+            else:
+                for name in raw:
+                    np.testing.assert_array_equal(grads[name], raw[name])
+
+    def test_sum_reduction_passes_finite_diff(self, tiny_dec_cfg, tiny_mod_cfg,
+                                              vocab):
+        from mmtune.autograd import finite_diff_check
+        examples = make_examples(3)
+        cfg = TrainConfig(loss_reduction="sum", max_seq_len=96)
+        params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(4))
+
+        def fn(p):
+            # the root hands the accumulated grads to the params on backward,
+            # so the check compares them with differences of the summed loss
+            loss, grads = _batch_loss_and_grads(
+                examples, ModelParams(p), tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                [examples[:2], examples[2:]])
+
+            def bwd(g):
+                for name, t in p.items():
+                    t.grad = grads[name]
+
+            return Tensor(loss, parents=tuple(p.values()), backward_fn=bwd)
+
+        rep = finite_diff_check(fn, params.tensors, h=1e-5, tol=1e-4,
+                                n_sample=60, rng=np.random.default_rng(5))
+        assert rep.passed, rep.failures[:5]
 
 
 class TestFit:
@@ -428,6 +479,16 @@ class TestCheckpoint:
         with pytest.raises(CorruptPayload):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key],
+                             ids=["extra-key", "missing-dataset"])
+    def test_bad_config_block(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path,
+                              edit):
+        p = str(tmp_path / "i.ckpt")
+        save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
+        rewrite_ckpt_config(p, edit)
+        with pytest.raises(CorruptPayload):
+            load_checkpoint(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "f.ckpt"
         p.write_bytes(b"NOPE" + b"\0" * 64)
@@ -445,18 +506,26 @@ class TestCheckpoint:
 
 
 class TestPipelineGradients:
-    def test_full_pipeline_finite_diff(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
+    @staticmethod
+    def check(dec_cfg, mod_cfg, vocab):
         from mmtune.autograd import finite_diff_check
-        from mmtune.cognitive import ModelParams
         ex = make_examples(1)[0]
-        params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(8))
+        params = init_params(dec_cfg, mod_cfg, np.random.default_rng(8))
         cfg = TrainConfig(max_seq_len=96)
 
         def fn(p):
             mp = ModelParams(p)
-            seq = build_sequence(ex, mp, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg)
-            return response_nll(forward(seq, mp, tiny_dec_cfg), seq)
+            seq = build_sequence(ex, mp, dec_cfg, mod_cfg, vocab, cfg)
+            return response_nll(forward(seq, mp, dec_cfg), seq)
 
         rep = finite_diff_check(fn, params.tensors, h=1e-5, tol=1e-4,
                                 n_sample=100, rng=np.random.default_rng(9))
         assert rep.passed, rep.failures[:5]
+
+    def test_full_pipeline_finite_diff(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
+        self.check(tiny_dec_cfg, tiny_mod_cfg, vocab)
+
+    def test_alignment_heads_2_finite_diff(self, tiny_dec_cfg, tiny_mod_cfg,
+                                           vocab):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=2)
+        self.check(dec_cfg, tiny_mod_cfg, vocab)
