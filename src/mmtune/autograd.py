@@ -266,17 +266,27 @@ def log_softmax_rows(m) -> Tensor:
     return _node(out, (m,), bwd)
 
 
+# query rows per block of causal attention
+_BLOCK = 64
+# within a diagonal block, row i may not see the keys of rows after it
+_AHEAD = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+
+
 def attention(q, k, v, heads=1, causal=False) -> Tensor:
     """softmax(QK^T / sqrt(d_head)) V for q: n×d, k: m×d, v: m×d_v, as one node.
 
     The columns split into `heads` equal groups that run as one batched
     product. With `causal` the n queries are the last n of the m key
     positions, so query i sees keys [0, m - n + i]: a full sequence, a
-    prefill and one KV-cached row all take the same call. The node keeps
-    only the probabilities P and the split q, k and v; with G the output's
-    gradient and dP = G V^T, its backward is dV = P^T G,
-    dS = P * (dP - rowsum(dP * P)), dQ = s dS K and dK = s dS^T Q, where
-    s = 1/sqrt(d_head)."""
+    prefill and one KV-cached row all take the same call. Causal queries
+    then run in row blocks of _BLOCK rows: block [r0, r1) scores only the
+    c = m - n + r1 keys its last row can see and masks only its diagonal
+    part, so the keys above the diagonal are never scored, exponentiated or
+    saved. A non-causal call, or one of at most _BLOCK queries, is a single
+    block. The node keeps each block's probabilities P and the split q, k
+    and v. With G the output's gradient and s = 1/sqrt(d_head), the backward
+    walks the same blocks: dP = G_blk V[:c]^T, dS = P * (dP - rowsum(dP * P)),
+    dQ_blk = s dS K[:c], dK[:c] += s dS^T Q_blk and dV[:c] += P^T G_blk."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), m = q.shape, k.shape[0]
     if d != k.shape[1]:
@@ -297,23 +307,49 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
     # scale q, not the heads×n×m scores: one pass less over the largest array
     scale = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    p = qh @ kh.transpose(0, 2, 1)
-    if causal:
-        np.copyto(p, -np.inf, where=np.arange(m) > np.arange(m - n, m)[:, None])
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    # (r0, r1): query rows [r0, r1), which see keys [0, m - n + r1)
+    blocks = ([(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
+              if causal and n > _BLOCK else [(0, n)])
+    probs = []
+    # rows-first in memory, like dq below, so that merge is a free reshape
+    out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
+    for r0, r1 in blocks:
+        c = m - n + r1
+        p = qh[:, r0:r1] @ kh[:, :c].transpose(0, 2, 1)
+        if causal:
+            b = r1 - r0
+            np.copyto(p[:, :, c - b:], -np.inf, where=_AHEAD[:b, :b])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[:, :c], out=out[:, r0:r1])
+        probs.append(p)
 
     def bwd(g):
         gh = split(g)
-        ds = gh @ vh.transpose(0, 2, 1)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        _accum(q, merge(ds @ kh) * scale)
-        _accum(k, merge(ds.transpose(0, 2, 1) @ qh))
-        _accum(v, merge(p.transpose(0, 2, 1) @ gh))
+        dq = np.empty_like(qh)
+        dk = dv = None
+        # the last block sees every key, so walking backwards its products
+        # are the full-size dK and dV that earlier blocks add into
+        for (r0, r1), p in zip(reversed(blocks), reversed(probs)):
+            c = m - n + r1
+            gb = gh[:, r0:r1]
+            ds = gb @ vh[:, :c].transpose(0, 2, 1)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            np.matmul(ds, kh[:, :c], out=dq[:, r0:r1])
+            dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]
+            dv_b = p.transpose(0, 2, 1) @ gb
+            if dk is None:
+                dk, dv = dk_b, dv_b
+            else:
+                dk[:, :c] += dk_b
+                dv[:, :c] += dv_b
+        _accum(q, merge(dq) * scale)
+        _accum(k, merge(dk))
+        _accum(v, merge(dv))
 
-    return _node(merge(p @ vh), (q, k, v), bwd)
+    return _node(merge(out), (q, k, v), bwd)
 
 
 def gelu(a) -> Tensor:

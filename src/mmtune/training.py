@@ -231,8 +231,10 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     """Run the full training loop; returns (Checkpoint, metrics list).
 
     Per-epoch checkpoints (and the final one) are written under out_dir when
-    given. Epoch e visits the examples in the order drawn from (cfg.seed, e),
-    so a checkpoint's step alone says where training stands: resume_from
+    given; when no step ran after the last epoch checkpoint, final.ckpt is a
+    hard link to it rather than a second copy of the same bytes. Epoch e
+    visits the examples in the order drawn from (cfg.seed, e), so a
+    checkpoint's step alone says where training stands: resume_from
     restarts from a checkpoint saved at any step and reproduces the
     uninterrupted run bitwise. Configs or a dataset (its examples and their
     order) that differ from the checkpoint's raise ConfigError.
@@ -264,6 +266,7 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         step = 0
 
     metrics = []
+    saved = None  # (path, step) of the last epoch checkpoint written
     for epoch in range(step // per_epoch, cfg.epochs):
         perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         for i in range((step - epoch * per_epoch) * macro, n, macro):
@@ -282,14 +285,22 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
             if out_dir is not None:
                 ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
                                   opt_state, step, data_hash)
-                save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
-                                ckpt)
+                saved = (os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"), step)
+                save_checkpoint(saved[0], ckpt)
         if max_steps is not None and step >= max_steps:
             break
     final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
                        data_hash)
     if out_dir is not None:
-        save_checkpoint(os.path.join(out_dir, "final.ckpt"), final)
+        path = os.path.join(out_dir, "final.ckpt")
+        if saved is not None and saved[1] == step:
+            # no step ran since the epoch checkpoint: it holds these bytes
+            try:
+                _link_checkpoint(saved[0], path)
+            except OSError:  # a filesystem without hard links
+                save_checkpoint(path, final)
+        else:
+            save_checkpoint(path, final)
     return final, metrics
 
 
@@ -367,7 +378,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     names = ckpt.params.names()
     # stream into a file beside the target and rename it over the target, so
     # a crash mid-write leaves the previous file at `path` intact
-    tmp = path + ".tmp"
+    tmp = _fresh_tmp(path)
     try:
         with open(tmp, "wb") as f:
             f.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION))
@@ -387,6 +398,28 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
+
+
+def _fresh_tmp(path: str) -> str:
+    """The temporary name beside `path`, with any file a crash left there
+    removed: it may be a hard link to another checkpoint, and writing
+    through it would change that checkpoint."""
+    tmp = path + ".tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    return tmp
+
+
+def _link_checkpoint(src: str, path: str) -> None:
+    """Give `path` the bytes of the checkpoint file `src` without writing
+    them again: a hard link under a temporary name, renamed over `path`."""
+    tmp = _fresh_tmp(path)
+    os.link(src, tmp)
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
         raise
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,8 @@ class TestAttention:
         np.testing.assert_allclose(out.data, attention_oracle(q, k, v, heads, causal),
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("n,m", [(7, 7), (4, 7), (1, 7), (1, 1)],
-                             ids=["n=m", "n<m", "one-row", "one-key"])
-    @pytest.mark.parametrize("causal", [False, True], ids=["nomask", "causal"])
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_matches_composed_ops(self, heads, causal, n, m):
-        # n < m is a prefill or decode step after a cache of m - n positions
+    @staticmethod
+    def check_against_composed(heads, causal, n, m):
         rng = np.random.default_rng(12)
         data = {"q": rng.normal(size=(n, 8)), "k": rng.normal(size=(m, 8)),
                 "v": rng.normal(size=(m, 4))}
@@ -109,12 +107,30 @@ class TestAttention:
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
-    def test_causal_finite_diff(self):
+    @pytest.mark.parametrize("n,m", [(7, 7), (4, 7), (1, 7), (1, 1)],
+                             ids=["n=m", "n<m", "one-row", "one-key"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["nomask", "causal"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_composed_ops(self, heads, causal, n, m):
+        # n < m is a prefill or decode step after a cache of m - n positions
+        self.check_against_composed(heads, causal, n, m)
+
+    @pytest.mark.parametrize("n,m", [(63, 63), (64, 64), (65, 65), (130, 130),
+                                     (200, 213), (70, 200)])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_row_blocks_match_composed_ops(self, heads, n, m):
+        # causal queries run in blocks of ag._BLOCK rows: one block short of,
+        # at and just past one block, several blocks, and a prefill after a
+        # cache with a partial last block
+        self.check_against_composed(heads, True, n, m)
+
+    @staticmethod
+    def causal_finite_diff(n, m):
         rng = np.random.default_rng(13)
-        params = {"q": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-                  "k": Tensor(rng.normal(size=(5, 4)), requires_grad=True),
-                  "v": Tensor(rng.normal(size=(5, 6)), requires_grad=True)}
-        weights = Tensor(rng.normal(size=(3, 6)))
+        params = {"q": Tensor(rng.normal(size=(n, 4)), requires_grad=True),
+                  "k": Tensor(rng.normal(size=(m, 4)), requires_grad=True),
+                  "v": Tensor(rng.normal(size=(m, 6)), requires_grad=True)}
+        weights = Tensor(rng.normal(size=(n, 6)))
 
         def fn(p):
             out = attention(p["q"], p["k"], p["v"], heads=2, causal=True)
@@ -122,6 +138,29 @@ class TestAttention:
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]
+
+    def test_causal_finite_diff(self):
+        self.causal_finite_diff(3, 5)
+
+    def test_causal_finite_diff_across_blocks(self):
+        self.causal_finite_diff(70, 75)
+
+    def test_causal_node_keeps_lower_blocks_only(self):
+        # what one causal node holds for its backward: each row block's
+        # probabilities over the keys it can see, about half of the
+        # heads x n x n scores at 480 rows, plus the scaled q and the output
+        heads, n = 4, 480
+        rng = np.random.default_rng(14)
+        q, k, v = (Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+                   for _ in range(3))
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, heads, causal=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held < 0.75 * heads * n * n * 8, held / (heads * n * n * 8)
 
     def test_causal_more_queries_than_keys(self):
         with pytest.raises(ShapeMismatch):

@@ -15,6 +15,7 @@ from mmtune.dataset import InstructionExample
 from mmtune.errors import InvalidId, SequenceTooLong
 from mmtune.tokenizer import EOS, Vocab
 from mmtune.training import build_sequence
+from test_alignment import composed_attention
 
 
 def text_sequence(ids, params):
@@ -67,6 +68,33 @@ class TestForward:
                            tiny_params, tiny_dec_cfg).data
             np.testing.assert_array_equal(base[:j], pert[:j])
 
+    def test_row_blocks_match_composed_attention(self, tiny_mod_cfg,
+                                                 monkeypatch):
+        # 150 tokens run each layer's attention in three row blocks, the last
+        # one partial; the composed per-head chain is the oracle
+        cfg = DecoderConfig(d_e=16, layers=2, heads=4, d_ff=32, vocab_size=260,
+                            max_seq_len=160)
+        params = init_params(cfg, tiny_mod_cfg, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        ids = rng.integers(4, 260, size=150).tolist()
+        weights = Tensor(rng.normal(size=(150, 260)))
+
+        def run():
+            params.zero_grad()
+            logits = forward(text_sequence(ids, params), params, cfg)
+            ag.sum_all(ag.mul(logits, weights)).backward()
+            return logits.data, {n: params[n].grad.copy() for n in params.names()
+                                 if params[n].grad is not None}
+
+        logits, grads = run()
+        monkeypatch.setattr(ag, "attention", composed_attention)
+        want_logits, want_grads = run()
+        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=0,
+                                       atol=1e-10, err_msg=name)
+
     def test_soft_token_equals_embedded_token(self, tiny_params, tiny_dec_cfg):
         # a soft token identical to an embedding row produces identical logits
         ids = [7, 42, 99]
@@ -100,8 +128,9 @@ class TestGenerateGreedy:
         assert a == b
 
     def test_decode_memory_bounded(self, tiny_params, tiny_dec_cfg):
-        # an 80-token decode keeps no attention array once it returns: less
-        # than half of one max_seq_len² array stays allocated
+        # an 80-token decode keeps neither its KV cache nor any attention
+        # probabilities once it returns: less than a quarter of the cache's
+        # bytes stays allocated
         seq = text_sequence([1, 50, 60, 3], tiny_params)
         tracemalloc.start()
         try:
@@ -110,7 +139,7 @@ class TestGenerateGreedy:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < tiny_dec_cfg.max_seq_len ** 2 * 8 / 2
+        assert held < KVCache.empty(tiny_dec_cfg).kv.nbytes / 4
 
     def test_eos_model_generates_nothing(self, tiny_dec_cfg, tiny_mod_cfg):
         params = eos_always_params(tiny_dec_cfg, tiny_mod_cfg)

@@ -121,7 +121,8 @@ class TestGradAccumulation:
     @staticmethod
     def tape_bound_setup(mod_cfg):
         """A config where the tape dominates: ~220-token sequences whose
-        4 x n x n attention probabilities dwarf the parameters."""
+        attention probabilities (4 heads, each the blocked lower part of
+        n x n, about 0.6 n²) dwarf the parameters."""
         dec_cfg = DecoderConfig(d_e=32, layers=1, heads=4, d_ff=64,
                                 vocab_size=260, max_seq_len=256)
         params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
@@ -366,6 +367,55 @@ class TestFit:
             out_dir=str(tmp_path), max_steps=2)
         assert os.listdir(tmp_path) == ["final.ckpt"]
 
+    @staticmethod
+    def counted_saves(monkeypatch):
+        saves = []
+
+        def counting(path, ckpt):
+            saves.append(os.path.basename(path))
+            real_save(path, ckpt)
+
+        real_save = training.save_checkpoint
+        monkeypatch.setattr(training, "save_checkpoint", counting)
+        return saves
+
+    @pytest.mark.parametrize("links", [True, False], ids=["link", "no-links"])
+    def test_last_epoch_checkpoint_written_once(
+            self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path, monkeypatch,
+            links):
+        saves = self.counted_saves(monkeypatch)
+        if not links:  # a filesystem without hard links
+            def refuse(src, dst):
+                raise PermissionError("hard links not supported")
+            monkeypatch.setattr(os, "link", refuse)
+        ckpt, _ = fit(make_examples(6), tiny_dec_cfg, tiny_mod_cfg, vocab,
+                      self.small_cfg(), out_dir=str(tmp_path))
+        want = ["epoch1.ckpt", "epoch2.ckpt"] + ([] if links else ["final.ckpt"])
+        assert saves == want
+        final = (tmp_path / "final.ckpt").read_bytes()
+        assert final == (tmp_path / "epoch2.ckpt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["epoch1.ckpt", "epoch2.ckpt",
+                                                "final.ckpt"]
+        assert load_checkpoint(str(tmp_path / "final.ckpt")).step == ckpt.step == 4
+
+    @pytest.mark.parametrize("max_steps,saves_want", [
+        (2, ["epoch1.ckpt"]), (3, ["epoch1.ckpt", "final.ckpt"])],
+        ids=["at-epoch-end", "mid-epoch"])
+    def test_max_steps_final_checkpoint(self, tiny_dec_cfg, tiny_mod_cfg,
+                                        vocab, tmp_path, monkeypatch,
+                                        max_steps, saves_want):
+        # 2 steps an epoch: a stop at step 2 lands on the epoch checkpoint,
+        # a stop at step 3 is past it and needs its own final.ckpt
+        saves = self.counted_saves(monkeypatch)
+        fit(make_examples(6), tiny_dec_cfg, tiny_mod_cfg, vocab,
+            self.small_cfg(), out_dir=str(tmp_path), max_steps=max_steps)
+        assert saves == saves_want
+        final = load_checkpoint(str(tmp_path / "final.ckpt"))
+        assert final.step == max_steps
+        same = ((tmp_path / "final.ckpt").read_bytes()
+                == (tmp_path / "epoch1.ckpt").read_bytes())
+        assert same == (max_steps == 2)
+
     def test_evaluate_records_no_tape(self, tiny_dec_cfg, tiny_mod_cfg, vocab,
                                       monkeypatch):
         ckpt, _ = fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab,
@@ -462,6 +512,22 @@ class TestCheckpoint:
         assert open(p, "rb").read() == before
         assert load_checkpoint(p).step == 17
         assert os.listdir(tmp_path) == ["h.ckpt"]
+
+    def test_save_through_stale_link_keeps_other_checkpoint(
+            self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        # a crash between linking final.ckpt.tmp to an epoch checkpoint and
+        # the rename leaves the link behind; the next save must not write
+        # through it into the epoch checkpoint
+        ckpt = self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab)
+        epoch, final = str(tmp_path / "epoch1.ckpt"), str(tmp_path / "final.ckpt")
+        save_checkpoint(epoch, ckpt)
+        before = open(epoch, "rb").read()
+        os.link(epoch, final + ".tmp")
+        ckpt.step = 18
+        save_checkpoint(final, ckpt)
+        assert open(epoch, "rb").read() == before
+        assert load_checkpoint(final).step == 18
+        assert sorted(os.listdir(tmp_path)) == ["epoch1.ckpt", "final.ckpt"]
 
     def test_truncated(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         p = str(tmp_path / "d.ckpt")
