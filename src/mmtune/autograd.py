@@ -80,28 +80,6 @@ class Tensor:
             if node._parents:
                 node.grad, node._parents, node._backward = None, (), None
 
-    # operator sugar; all math lives in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
 
@@ -323,7 +301,9 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p, vh[:, :c], out=out[:, r0:r1])
-        probs.append(p)
+        if _grad_enabled:  # without a backward only the block in hand is needed
+            probs.append(p)
+        del p
 
     def bwd(g):
         gh = split(g)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dataset as ds
@@ -107,7 +108,6 @@ def _cmd_train(args) -> int:
             by_source.setdefault(ex.source, []).append(ex)
         examples = ds.mix(by_source, n, cfg["data"]["seed"])
     vocab = Vocab(size=objs["model"].vocab_size)
-    import os
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
     # a resumed run continues the log of the run it resumes

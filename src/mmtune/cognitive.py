@@ -8,7 +8,7 @@ forward pass has no modality-conditional branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import autograd as ag
 from .alignment import (InstructionSequence, TransformWeights,
                         init_transform_weights)
 from .autograd import Tensor
-from .encoders import ModalityConfig
+from .encoders import ModalityConfig, check_field_types
 from .errors import InvalidId, SequenceTooLong
 from .tokenizer import EOS
 
@@ -32,15 +32,12 @@ class DecoderConfig:
     alignment_heads: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
+        for name in ("heads", "alignment_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_e % self.heads:
             raise ValueError("d_e must be divisible by heads")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
 
 
 class ModelParams:

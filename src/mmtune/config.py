@@ -1,12 +1,12 @@
 """Run configuration: a JSON document with model/train/data/modality
-sections. Unknown keys are rejected with their full path; defaults mirror
-the shipped training setup (lr 3e-5, warmup 0.03, 5 epochs, micro-batch 4,
-accumulation 3, max sequence length 512).
+sections. Unknown keys are rejected with their full path; the defaults are
+those of the config dataclasses.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .cognitive import DecoderConfig
 from .encoders import ModalityConfig
@@ -20,9 +20,9 @@ _DATA_DEFAULTS = {
 
 
 def default_config() -> dict:
-    return {"model": DecoderConfig().to_dict(),
-            "train": TrainConfig().to_dict(),
-            "modality": ModalityConfig().to_dict(),
+    return {"model": asdict(DecoderConfig()),
+            "train": asdict(TrainConfig()),
+            "modality": asdict(ModalityConfig()),
             "data": json.loads(json.dumps(_DATA_DEFAULTS))}
 
 
@@ -63,9 +63,9 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         merged["train"]["seed"] = seed
         merged["data"]["seed"] = seed
     try:
-        objects = {"model": DecoderConfig.from_dict(merged["model"]),
-                   "train": TrainConfig.from_dict(merged["train"]),
-                   "modality": ModalityConfig.from_dict(merged["modality"])}
+        objects = {"model": DecoderConfig(**merged["model"]),
+                   "train": TrainConfig(**merged["train"]),
+                   "modality": ModalityConfig(**merged["modality"])}
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
     merged["objects"] = objects

@@ -244,8 +244,8 @@ def write_examples(path: str, examples) -> None:
             f.write(example_to_line(ex) + "\n")
 
 
-def read_examples(path: str) -> list:
-    out = []
+def _jsonl_records(path: str):
+    """(line number, parsed object) for each non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -254,28 +254,24 @@ def read_examples(path: str) -> list:
                 d = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            out.append(InstructionExample.from_dict(d))
-    return out
+            yield lineno, d
+
+
+def read_examples(path: str) -> list:
+    return [InstructionExample.from_dict(d) for _, d in _jsonl_records(path)]
 
 
 def read_captions(path: str) -> list:
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            for key in ("id", "media", "caption", "source"):
-                if key not in d:
-                    raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
-            if not d["caption"]:
-                raise SchemaError(f"{path}:{lineno}: empty caption")
-            if not d["media"]:
-                raise SchemaError(f"{path}:{lineno}: empty media list")
-            out.append(CaptionRecord(id=str(d["id"]),
-                                     media=tuple(_check_media(d["media"], d["id"])),
-                                     caption=d["caption"], source=str(d["source"])))
+    for lineno, d in _jsonl_records(path):
+        for key in ("id", "media", "caption", "source"):
+            if key not in d:
+                raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
+        if not d["caption"]:
+            raise SchemaError(f"{path}:{lineno}: empty caption")
+        if not d["media"]:
+            raise SchemaError(f"{path}:{lineno}: empty media list")
+        out.append(CaptionRecord(id=str(d["id"]),
+                                 media=tuple(_check_media(d["media"], d["id"])),
+                                 caption=d["caption"], source=str(d["source"])))
     return out

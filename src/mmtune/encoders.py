@@ -26,6 +26,23 @@ _MAGIC = b"MCWF"
 _VERSION = 1
 
 
+def check_field_types(cfg) -> None:
+    """Raise TypeError unless each field of the dataclass `cfg` holds a value
+    of its default's type. A bool is no int, an int is a float, and a field
+    that defaults to None takes None or a float."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None and f.default is None:
+            continue
+        want = float if f.default is None else type(f.default)
+        # bool subclasses int, but a flag is no count
+        ok = (isinstance(value, bool) == (want is bool)
+              and isinstance(value, (int, float) if want is float else want))
+        if not ok:
+            raise TypeError(f"{type(cfg).__name__}.{f.name} must be "
+                            f"{want.__name__}, got {value!r}")
+
+
 # kind -> (row-count field, width field) of ModalityConfig
 _KIND_FIELDS = {"image": ("image_len", "image_dim"),
                 "video": ("video_frames", "video_dim"),
@@ -45,6 +62,9 @@ class ModalityConfig:
     audio_dim: int = 32
     source_frames_default: int = 32  # assumed raw frame count when unknown
 
+    def __post_init__(self):
+        check_field_types(self)
+
     def _kind_fields(self, kind: str) -> tuple[str, str]:
         if kind not in _KIND_FIELDS:
             raise UnknownKind(kind)
@@ -55,13 +75,6 @@ class ModalityConfig:
 
     def dim(self, kind: str) -> int:
         return getattr(self, self._kind_fields(kind)[1])
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModalityConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
 
 
 def fingerprint_bytes(data: bytes) -> int:

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,13 +20,13 @@ from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
 from .dataset import example_to_line
-from .encoders import MediaRef, ModalityConfig
+from .encoders import MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
                      NoResponseSpan, VersionMismatch)
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class TrainConfig:
     max_grad_norm: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must lie in (0, 1)")
         for name in ("lr_peak", "micro_batch", "grad_accum", "max_seq_len"):
@@ -56,13 +57,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.loss_reduction not in ("mean", "sum"):
             raise ValueError("loss_reduction must be 'mean' or 'sum'")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
+            raise ValueError("max_grad_norm must be None or positive")
 
 
 def frame_text_ids(vocab: Vocab, instruction: str, response: str | None):
@@ -325,73 +321,30 @@ def evaluate(dataset, ckpt: Checkpoint) -> dict:
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
-def _json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _write_block(f, payload: bytes):
-    f.write(struct.pack("<I", len(payload)))
-    f.write(payload)
-
-
-def _write_tensor(f, name: str, arr: np.ndarray):
-    """Name, rank and shape, then the tensor's C-order <f8 bytes."""
-    nb = name.encode("utf-8")
-    f.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim,
-                        *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype="<f8"))
-
-
-class _Reader:
-    def __init__(self, raw: bytes, offset: int = 0):
-        self.raw = raw
-        self.pos = offset
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CorruptPayload("checkpoint truncated")
-        b = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return b
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def block(self) -> bytes:
-        return self.take(self.u32())
-
-    def tensor(self):
-        name = self.take(self.u32()).decode("utf-8")
-        rank = self.u32()
-        shape = tuple(self.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.take(count * 8), dtype="<f8").reshape(shape)
-        return name, data.copy()
-
-
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    cfg = {"decoder": ckpt.dec_cfg.to_dict(), "train": ckpt.train_cfg.to_dict(),
-           "modality": ckpt.mod_cfg.to_dict(), "dataset": ckpt.dataset_hash}
+    """Write magic, version and header length, then a JSON header and the
+    <f8 payload: every parameter, then every Adam m, then every Adam v, each
+    in the sorted-name order of the header's shapes."""
     names = ckpt.params.names()
+    params = [ckpt.params[name].data for name in names]
+    header = json.dumps(
+        {"decoder": asdict(ckpt.dec_cfg), "train": asdict(ckpt.train_cfg),
+         "modality": asdict(ckpt.mod_cfg), "dataset": ckpt.dataset_hash,
+         "vocab": ckpt.vocab.to_dict(), "step": ckpt.step,
+         "adam_t": ckpt.opt_state.t,
+         "shapes": [[name, list(a.shape)] for name, a in zip(names, params)]},
+        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tensors = (params + [ckpt.opt_state.m[name] for name in names]
+               + [ckpt.opt_state.v[name] for name in names])
     # stream into a file beside the target and rename it over the target, so
     # a crash mid-write leaves the previous file at `path` intact
     tmp = _fresh_tmp(path)
     try:
         with open(tmp, "wb") as f:
-            f.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION))
-            _write_block(f, _json_bytes(cfg))
-            _write_block(f, _json_bytes(ckpt.vocab.to_dict()))
-            f.write(struct.pack("<I", len(names)))
-            for name in names:
-                _write_tensor(f, name, ckpt.params[name].data)
-            f.write(struct.pack("<I", 2 * len(names)))
-            for name in names:
-                _write_tensor(f, "m:" + name, ckpt.opt_state.m[name])
-                _write_tensor(f, "v:" + name, ckpt.opt_state.v[name])
-            f.write(struct.pack("<QQ", ckpt.opt_state.t, ckpt.step))
+            f.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)))
+            f.write(header)
+            for a in tensors:
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -428,34 +381,35 @@ def load_checkpoint(path: str) -> Checkpoint:
         raw = f.read()
     if raw[:4] != _CKPT_MAGIC:
         raise BadMagic(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    r = _Reader(raw, 4)
-    version = r.u32()
+    if len(raw) < 8:
+        raise CorruptPayload(f"{path}: checkpoint truncated")
+    (version,) = struct.unpack_from("<I", raw, 4)
     if version != _CKPT_VERSION:
         raise VersionMismatch(f"{path}: checkpoint version {version}")
     try:
-        cfg = json.loads(r.block())
-        vocab = Vocab.from_dict(json.loads(r.block()))
-        n_params = r.u32()
-        tensors = {}
-        for _ in range(n_params):
-            name, data = r.tensor()
-            tensors[name] = Tensor(data, requires_grad=True)
-        n_opt = r.u32()
-        state = AdamState()
-        for _ in range(n_opt):
-            name, data = r.tensor()
-            kind, pname = name.split(":", 1)
-            (state.m if kind == "m" else state.v)[pname] = data
-        state.t = r.u64()
-        step = r.u64()
-        if r.pos != len(raw):
-            raise CorruptPayload(f"{path}: {len(raw) - r.pos} trailing bytes")
-        return Checkpoint(dec_cfg=DecoderConfig.from_dict(cfg["decoder"]),
-                          train_cfg=TrainConfig.from_dict(cfg["train"]),
-                          mod_cfg=ModalityConfig.from_dict(cfg["modality"]),
-                          vocab=vocab, params=ModelParams(tensors),
-                          opt_state=state, step=step, dataset_hash=cfg["dataset"])
-    except CorruptPayload:
-        raise
+        (n,) = struct.unpack_from("<I", raw, 8)
+        head = json.loads(raw[12:12 + n])
+        names = [name for name, _ in head["shapes"]]
+        shapes = [shape for _, shape in head["shapes"]] * 3
+        sizes = [math.prod(shape) for shape in shapes]
+        if len(raw) - 12 - n != 8 * sum(sizes):
+            raise ValueError(f"{len(raw) - 12 - n} payload bytes, "
+                             f"expected {8 * sum(sizes)}")
+        parts = np.split(np.frombuffer(raw, dtype="<f8", offset=12 + n),
+                         np.cumsum(sizes)[:-1])
+        # a copy each: views of one buffer would keep all of m and v alive
+        # after the first update replaces those arrays
+        arrays = [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
+        k = len(names)
+        params = {name: Tensor(a, requires_grad=True)
+                  for name, a in zip(names, arrays[:k])}
+        state = AdamState(m=dict(zip(names, arrays[k:2 * k])),
+                          v=dict(zip(names, arrays[2 * k:])), t=head["adam_t"])
+        return Checkpoint(dec_cfg=DecoderConfig(**head["decoder"]),
+                          train_cfg=TrainConfig(**head["train"]),
+                          mod_cfg=ModalityConfig(**head["modality"]),
+                          vocab=Vocab.from_dict(head["vocab"]),
+                          params=ModelParams(params), opt_state=state,
+                          step=head["step"], dataset_hash=head["dataset"])
     except Exception as e:
         raise CorruptPayload(f"{path}: {e!r}") from e

@@ -162,6 +162,22 @@ class TestAttention:
         assert out._backward is not None
         assert held < 0.75 * heads * n * n * 8, held / (heads * n * n * 8)
 
+    def test_no_grad_keeps_one_probability_block(self):
+        # without a backward, each row block's probabilities are dropped once
+        # its output rows are written: the peak stays under two blocks
+        heads, n = 4, 480
+        rng = np.random.default_rng(15)
+        q, k, v = (Tensor(rng.normal(size=(n, 64))) for _ in range(3))
+        block = heads * ag._BLOCK * n * 8
+        with ag.no_grad():
+            tracemalloc.start()
+            try:
+                attention(q, k, v, heads, causal=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * block, peak / block
+
     def test_causal_more_queries_than_keys(self):
         with pytest.raises(ShapeMismatch):
             attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))),

@@ -48,6 +48,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="optimzer"):
             validate_config({"optimzer": {}})
 
+    def test_int_for_float_field(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"train": {"lr_peak": 1, "max_grad_norm": 2}}))
+        train = load_config(str(p))["objects"]["train"]
+        assert (train.lr_peak, train.max_grad_norm) == (1, 2)
+
     def test_seed_override(self, tmp_path):
         p = write_cfg(tmp_path)
         cfg = load_config(p, seed=123)
@@ -174,6 +180,21 @@ class TestTrainEvalGenerate:
         code = dispatch(["train", "--config", str(p), "--data", "x",
                          "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d_e", 64.9), ("modality", "l_prime", 4.7),
+        ("train", "micro_batch", 2.5), ("train", "freeze_embedding", "false"),
+        ("train", "max_grad_norm", -1), ("model", "alignment_heads", 0),
+        ("model", "heads", 0), ("model", "layers", True),
+        ("train", "lr_peak", "3e-5")])
+    def test_mistyped_or_out_of_range_value_exits_2(self, tmp_path, section,
+                                                    key, value, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({section: {key: value}}))
+        code = dispatch(["train", "--config", str(p), "--data", "x",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_eval_report(self, trained, capsys):
         code = dispatch(["eval", "--checkpoint",

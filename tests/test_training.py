@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -472,6 +474,47 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[n].data,
                                           ckpt.params[n].data)
 
+    def test_layout(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        ckpt = self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab)
+        names = ckpt.params.names()
+        for i, name in enumerate(names):
+            ckpt.opt_state.m[name] = ckpt.opt_state.m[name] + i + 0.25
+            ckpt.opt_state.v[name] = ckpt.opt_state.v[name] + i + 0.5
+        p = tmp_path / "l.ckpt"
+        save_checkpoint(str(p), ckpt)
+        raw = p.read_bytes()
+        assert raw[:4] == b"MCWC"
+        version, n = struct.unpack_from("<II", raw, 4)
+        assert version == 4
+        head = json.loads(raw[12:12 + n])
+        assert raw[12:12 + n] == json.dumps(
+            head, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert set(head) == {"decoder", "train", "modality", "dataset", "vocab",
+                             "step", "adam_t", "shapes"}
+        assert head["shapes"] == [[name, list(ckpt.params[name].shape)]
+                                  for name in names]
+        size = sum(ckpt.params[name].data.size for name in names)
+        assert len(raw) - 12 - n == 3 * 8 * size
+        want = np.concatenate(
+            [ckpt.params[name].data.ravel() for name in names]
+            + [ckpt.opt_state.m[name].ravel() for name in names]
+            + [ckpt.opt_state.v[name].ravel() for name in names])
+        np.testing.assert_array_equal(np.frombuffer(raw, "<f8", offset=12 + n),
+                                      want)
+
+    def test_loaded_arrays_share_no_memory(self, tiny_dec_cfg, tiny_mod_cfg,
+                                           vocab, tmp_path):
+        p = str(tmp_path / "s.ckpt")
+        save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
+        loaded = load_checkpoint(p)
+        names = loaded.params.names()
+        arrays = ([loaded.params[name].data for name in names]
+                  + [loaded.opt_state.m[name] for name in names]
+                  + [loaded.opt_state.v[name] for name in names])
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     @pytest.mark.parametrize("failing", ["write", "replace"])
     def test_failed_save_keeps_previous_checkpoint(
             self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path, monkeypatch,
@@ -536,6 +579,12 @@ class TestCheckpoint:
         open(p, "wb").write(raw[:len(raw) // 2])
         with pytest.raises(CorruptPayload):
             load_checkpoint(p)
+
+    def test_truncated_in_version(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        p.write_bytes(b"MCWC\x04\x00")
+        with pytest.raises(CorruptPayload):
+            load_checkpoint(str(p))
 
     def test_trailing_garbage(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         p = str(tmp_path / "e.ckpt")
