@@ -233,13 +233,14 @@ def softmax_rows(m) -> Tensor:
 
 def log_softmax_rows(m) -> Tensor:
     m = _as_tensor(m)
-    z = m.data - m.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
+    out = m.data - m.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(out), axis=-1, keepdims=True))
+    out -= lse
 
     def bwd(g):
-        sm = np.exp(out)
-        _accum(m, g - sm * g.sum(axis=-1, keepdims=True))
+        dm = np.exp(out)
+        dm *= g.sum(axis=-1, keepdims=True)
+        _accum(m, np.subtract(g, dm, out=dm))
 
     return _node(out, (m,), bwd)
 
@@ -333,39 +334,81 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU; smooth, so finite differences stay honest."""
+    """tanh-approximation GELU; smooth, so finite differences stay honest.
+
+    Forward and backward run in place on as few arrays as they can, in the
+    operation order of the plain formulas, so results match them bitwise.
+    0.5 * x * (1 + t) is formed as ((1 + t) * 0.5) * x: 1 + t is never
+    subnormal, so its halving is exact, and where x is subnormal 1 + t is 1;
+    so both orders round the same real product."""
     a = _as_tensor(a)
     c = math.sqrt(2.0 / math.pi)
     x = a.data
-    u = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5
+    out *= x
 
     def bwd(g):
-        du = c * (1.0 + 3 * 0.044715 * x ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
-        _accum(a, g * d)
+        # du = c * (1 + 3 * 0.044715 * x ** 2)
+        d = np.square(x)
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= c
+        # 0.5 * x * (1 - t ** 2) * du, halving 1 - t ** 2 as the forward does
+        e = np.square(t)
+        np.subtract(1.0, e, out=e)
+        e *= 0.5
+        e *= x
+        e *= d
+        # 0.5 * (1 + t) + that
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += e
+        d *= g
+        _accum(a, d)
 
     return _node(out, (a,), bwd)
 
 
 def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
-    """Per-row layer normalization with learned gain and bias."""
+    """Per-row layer normalization with learned gain and bias.
+
+    Means are np.add.reduce(...) / n, as .mean() and .var() compute them, and
+    the centred rows become xhat in place, so results match those bitwise."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
-        n = x.data.shape[-1]
-        dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        lead = tuple(range(g.ndim - 1))
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        dx = g * gain.data
+        p = dx * xhat
+        m2 = np.add.reduce(p, axis=-1, keepdims=True)
+        m2 /= n
+        m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+        m1 /= n
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=p)
+        dx *= inv
         _accum(x, dx)
-        _accum(gain, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        _accum(bias, g.sum(axis=tuple(range(g.ndim - 1))))
+        _accum(gain, np.multiply(g, xhat, out=p).sum(axis=lead))
+        _accum(bias, g.sum(axis=lead))
 
     return _node(out, (x, gain, bias), bwd)
 

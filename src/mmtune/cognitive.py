@@ -33,11 +33,12 @@ class DecoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("heads", "alignment_heads"):
+        for name in ("d_e", "heads", "d_ff", "max_seq_len", "alignment_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.d_e % self.heads:
-            raise ValueError("d_e must be divisible by heads")
+        for name in ("heads", "alignment_heads"):
+            if self.d_e % getattr(self, name):
+                raise ValueError(f"d_e must be divisible by {name}")
 
 
 class ModelParams:

@@ -10,6 +10,7 @@ rows u32, cols u32, then rows*cols float32 values row-major.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -28,8 +29,9 @@ _VERSION = 1
 
 def check_field_types(cfg) -> None:
     """Raise TypeError unless each field of the dataclass `cfg` holds a value
-    of its default's type. A bool is no int, an int is a float, and a field
-    that defaults to None takes None or a float."""
+    of its default's type, and ValueError for a NaN or infinite float. A bool
+    is no int, an int is a float, and a field that defaults to None takes
+    None or a float."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if value is None and f.default is None:
@@ -41,6 +43,10 @@ def check_field_types(cfg) -> None:
         if not ok:
             raise TypeError(f"{type(cfg).__name__}.{f.name} must be "
                             f"{want.__name__}, got {value!r}")
+        # json.load reads NaN and Infinity, and NaN passes every range check
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(cfg).__name__}.{f.name} must be "
+                             f"finite, got {value!r}")
 
 
 # kind -> (row-count field, width field) of ModalityConfig
@@ -64,6 +70,15 @@ class ModalityConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.l_prime < 1:
+            raise ValueError("l_prime must be >= 1")
+        for length, dim in _KIND_FIELDS.values():
+            if getattr(self, length) < self.l_prime:
+                raise ValueError(f"{length} must be >= l_prime")
+            if getattr(self, dim) < 1:
+                raise ValueError(f"{dim} must be >= 1")
+        if self.source_frames_default < 1:
+            raise ValueError("source_frames_default must be >= 1")
 
     def _kind_fields(self, kind: str) -> tuple[str, str]:
         if kind not in _KIND_FIELDS:

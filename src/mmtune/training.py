@@ -50,9 +50,15 @@ class TrainConfig:
         check_field_types(self)
         if not 0.0 < self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must lie in (0, 1)")
-        for name in ("lr_peak", "micro_batch", "grad_accum", "max_seq_len"):
+        for name in ("lr_peak", "micro_batch", "grad_accum", "max_seq_len",
+                     "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):  # bias correction divides by 1 - beta**t
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.loss_reduction not in ("mean", "sum"):
@@ -137,17 +143,30 @@ class AdamState:
 
 def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
                 cfg: TrainConfig) -> None:
+    """AdamW step, p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p),
+    updating m, v and p in place through two temporary arrays per parameter in
+    the operation order of that formula, so results match it bitwise."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     for name in params.names():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        mhat = state.m[name] / (1 - b1 ** state.t)
-        vhat = state.v[name] / (1 - b2 ** state.t)
-        p = params[name]
-        p.data -= lr * (mhat / (np.sqrt(vhat) + cfg.eps)
-                        + cfg.weight_decay * p.data)
+        g, m, v, p = grads[name], state.m[name], state.v[name], params[name].data
+        tmp = np.multiply(g, 1 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        step = m / c1
+        step /= tmp
+        # kept at weight_decay 0 as well, as in the formula: 0 * inf is NaN
+        step += np.multiply(p, cfg.weight_decay, out=tmp)
+        step *= lr
+        p -= step
 
 
 def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
@@ -397,8 +416,8 @@ def load_checkpoint(path: str) -> Checkpoint:
                              f"expected {8 * sum(sizes)}")
         parts = np.split(np.frombuffer(raw, dtype="<f8", offset=12 + n),
                          np.cumsum(sizes)[:-1])
-        # a copy each: views of one buffer would keep all of m and v alive
-        # after the first update replaces those arrays
+        # a copy each: views of the file's bytes are read-only, and
+        # adam_update writes parameters, m and v in place
         arrays = [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
         k = len(names)
         params = {name: Tensor(a, requires_grad=True)

@@ -186,7 +186,21 @@ class TestTrainEvalGenerate:
         ("train", "micro_batch", 2.5), ("train", "freeze_embedding", "false"),
         ("train", "max_grad_norm", -1), ("model", "alignment_heads", 0),
         ("model", "heads", 0), ("model", "layers", True),
-        ("train", "lr_peak", "3e-5")])
+        ("train", "lr_peak", "3e-5"),
+        # non-finite floats, which json.load accepts
+        ("train", "lr_peak", float("nan")),
+        ("train", "max_grad_norm", float("inf")),
+        ("train", "weight_decay", float("-inf")),
+        # Adam's ranges: bias correction divides by 1 - beta**t
+        ("train", "beta1", 1.0), ("train", "beta2", -0.1), ("train", "eps", 0),
+        ("train", "weight_decay", -0.01),
+        # modality geometry
+        ("modality", "l_prime", 0), ("modality", "image_len", 0),
+        ("modality", "video_frames", 3), ("modality", "audio_dim", 0),
+        ("modality", "source_frames_default", 0),
+        # decoder geometry
+        ("model", "alignment_heads", 3), ("model", "d_e", 0),
+        ("model", "d_ff", 0), ("model", "max_seq_len", 0)])
     def test_mistyped_or_out_of_range_value_exits_2(self, tmp_path, section,
                                                     key, value, capsys):
         p = tmp_path / "bad.json"

@@ -106,8 +106,8 @@ class TestEncodeVideo:
                                       encode_video(m, cfg).matrix)
 
     def test_single_frame_equals_frame0_stub(self):
-        cfg = ModalityConfig(video_frames=1, video_dim=16, image_len=1,
-                             image_dim=16)
+        cfg = ModalityConfig(l_prime=1, video_frames=1, video_dim=16,
+                             image_len=1, image_dim=16)
         m = MediaRef("video", fingerprint=77, frames=10)
         out = encode_video(m, cfg)
         frame0 = MediaRef("image",

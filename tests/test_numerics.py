@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,104 @@ class TestSoftmaxRows:
         out = ag.softmax_rows(Tensor(m)).data
         assert (out >= 0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
+
+
+# The plain formulas of the row kernels, forward and backward, as the
+# bitwise oracles of the in-place kernels: each returns the output and the
+# input gradients for an output gradient g.
+
+def gelu_oracle(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    u = c * (x + 0.044715 * (x * x * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+    du = c * (1.0 + 3 * 0.044715 * x ** 2)
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+    return out, g * d
+
+
+def layernorm_oracle(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return out, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def log_softmax_oracle(m, g):
+    z = m - m.max(axis=-1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return out, g - np.exp(out) * g.sum(axis=-1, keepdims=True)
+
+
+def run_kernel(op, g, *inputs):
+    """op's output and the gradients of its inputs for output gradient g."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+    y = op(*ts)
+    out = y.data.copy()
+    ag.sum_all(ag.mul(y, Tensor(g))).backward()
+    return (out, *(t.grad for t in ts))
+
+
+class TestRowKernels:
+    SHAPES = [(1, 64), (33, 64), (480, 256)]
+
+    def assert_bitwise(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu_matches_formula_bitwise(self, shape):
+        rng = np.random.default_rng(21)
+        x, g = 3.0 * rng.normal(size=shape), rng.normal(size=shape)
+        self.assert_bitwise(run_kernel(ag.gelu, g, x), gelu_oracle(x, g))
+
+    def test_gelu_extremes_match_formula_bitwise(self):
+        x = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-20, -8.0,
+                       -40.0, 40.0, 1e100, 1.5e308, -1.5e308]])
+        g = np.linspace(-1.0, 1.0, x.size).reshape(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = run_kernel(ag.gelu, g, x), gelu_oracle(x, g)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layernorm_matches_formula_bitwise(self, shape):
+        rng = np.random.default_rng(22)
+        x = 2.0 * rng.normal(size=shape) + 0.5
+        gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        g = rng.normal(size=shape)
+        self.assert_bitwise(run_kernel(ag.layernorm_rows, g, x, gain, bias),
+                            layernorm_oracle(x, gain, bias, g))
+
+    @pytest.mark.parametrize("shape", [(13, 260), (430, 260)])
+    def test_log_softmax_matches_formula_bitwise(self, shape):
+        rng = np.random.default_rng(23)
+        m, g = 4.0 * rng.normal(size=shape), rng.normal(size=shape)
+        self.assert_bitwise(run_kernel(ag.log_softmax_rows, g, m),
+                            log_softmax_oracle(m, g))
+
+    # the formulas' temporaries peak at 4.0 (GELU) and 3.08 (layernorm)
+    # input-sized arrays; the kernels hold two, t or xhat and the output
+    @pytest.mark.parametrize("op,extra", [
+        (ag.gelu, ()), (ag.layernorm_rows, (np.ones(256), np.zeros(256)))],
+        ids=["gelu", "layernorm_rows"])
+    def test_forward_peak(self, op, extra):
+        x = np.random.default_rng(24).normal(size=(480, 256))
+        inputs = [Tensor(a, requires_grad=True) for a in (x, *extra)]
+        tracemalloc.start()
+        try:
+            op(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes, peak / x.nbytes
 
 
 def conv_oracle(x, w, b, stride):

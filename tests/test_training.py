@@ -181,6 +181,43 @@ class TestBuildSequence:
         assert params["align.image.wq"].grad.any()
 
 
+def adam_oracle(p, m, v, g, t, lr, cfg):
+    """One AdamW step by the plain formulas, as new (p, m, v): the bitwise
+    oracle for the in-place adam_update."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    return p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p), m, v
+
+
+class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_formula_bitwise(self, weight_decay):
+        rng = np.random.default_rng(31)
+        shapes = {"a": (5, 7), "b": (4,), "c": (3, 2, 2)}
+        want = {n: [rng.normal(size=s), np.zeros(s), np.zeros(s)]
+                for n, s in shapes.items()}
+        want["b"][0][:2] = [0.0, -0.0]  # zero parameters with zero gradients
+        params = ModelParams({n: Tensor(w[0].copy(), requires_grad=True)
+                              for n, w in want.items()})
+        state, cfg = AdamState.init(params), TrainConfig(weight_decay=weight_decay)
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            grads["b"][:2] = 0.0
+            lr = 1e-3 * t
+            training.adam_update(params, {n: g.copy() for n, g in grads.items()},
+                                 state, lr, cfg)
+            for n, g in grads.items():
+                want[n] = adam_oracle(*want[n], g, t, lr, cfg)
+        assert state.t == 5
+        for n, (p, m, v) in want.items():
+            for got, w in ((params[n].data, p), (state.m[n], m), (state.v[n], v)):
+                assert np.array_equal(got, w)
+                assert np.array_equal(np.signbit(got), np.signbit(w))
+
+
 class TestTrainStep:
     def test_loss_decreases_on_fixed_batch(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
