@@ -23,7 +23,7 @@ from .training import build_sequence, evaluate, fit, load_checkpoint
 
 _DATA_ERRORS = (SchemaError, EmptyDataset, SourceTooSmall, BadMagic,
                 TruncatedFile, CorruptPayload, VersionMismatch,
-                FileNotFoundError)
+                FileNotFoundError, IsADirectoryError)
 
 
 class _UsageError(Exception):

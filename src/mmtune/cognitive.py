@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .alignment import (InstructionSequence, TransformWeights,
-                        init_transform_weights)
+from .alignment import InstructionSequence, init_transform
 from .autograd import Tensor
 from .encoders import ModalityConfig, check_field_types
 from .errors import InvalidId, SequenceTooLong
@@ -51,19 +50,14 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     @property
     def embedding(self) -> Tensor:
         return self.tensors["E"]
 
-    def transform_weights(self, kind: str) -> TransformWeights:
-        p = f"transform.{kind}"
-        return TransformWeights(conv_w=self.tensors[f"{p}.conv_w"],
-                                conv_b=self.tensors[f"{p}.conv_b"],
-                                lin_w=self.tensors[f"{p}.lin_w"],
-                                lin_b=self.tensors[f"{p}.lin_b"])
+    def group(self, prefix: str) -> dict:
+        """The tensors named `prefix.<name>`, keyed by `<name>`."""
+        p = prefix + "."
+        return {n[len(p):]: t for n, t in self.tensors.items() if n.startswith(p)}
 
     def names(self) -> list:
         return sorted(self.tensors)
@@ -110,9 +104,9 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
         tensors[f"{p}.ffn.w2"] = w(cfg.d_ff, d)
         tensors[f"{p}.ffn.b2"] = zeros(d)
     for kind in ("image", "video", "audio"):
-        tw = init_transform_weights(mod_cfg.length(kind), mod_cfg.dim(kind),
-                                    d, mod_cfg.l_prime, rng)
-        tensors.update(tw.named(f"transform.{kind}"))
+        tw = init_transform(mod_cfg.length(kind), mod_cfg.dim(kind), d,
+                            mod_cfg.l_prime, rng)
+        tensors.update({f"transform.{kind}.{n}": t for n, t in tw.items()})
     if cfg.alignment_heads > 1:
         for kind in ("image", "video", "audio"):
             for name in ("wq", "wk", "wv", "wo"):

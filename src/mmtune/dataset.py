@@ -52,6 +52,18 @@ class CaptionRecord:
     def primary_kind(self) -> str:
         return self.media[0]["kind"]
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "CaptionRecord":
+        for key in ("id", "media", "caption", "source"):
+            if key not in d:
+                raise SchemaError(f"missing key {key!r}")
+        if not d["caption"]:
+            raise SchemaError("empty caption")
+        if not d["media"]:
+            raise SchemaError("empty media list")
+        return cls(id=str(d["id"]), media=tuple(_check_media(d["media"], d["id"])),
+                   caption=d["caption"], source=str(d["source"]))
+
 
 @dataclass(frozen=True)
 class InstructionExample:
@@ -85,6 +97,10 @@ def _check_media(media, owner) -> list:
             raise SchemaError(f"record {owner!r}: media entry needs kind and path")
         if m["kind"] not in ("image", "video", "audio"):
             raise SchemaError(f"record {owner!r}: unknown media kind {m['kind']!r}")
+        frames = m.get("frames", 1)
+        if type(frames) is not int or frames < 1:  # a bool is no frame count
+            raise SchemaError(f"record {owner!r}: frames must be an integer "
+                              f">= 1, got {frames!r}")
         out.append(dict(m))
     return out
 
@@ -244,34 +260,29 @@ def write_examples(path: str, examples) -> None:
             f.write(example_to_line(ex) + "\n")
 
 
-def _jsonl_records(path: str):
-    """(line number, parsed object) for each non-blank line of a JSONL file."""
+def _jsonl_records(path: str, parse) -> list:
+    """parse(d) for the JSON object d on each non-blank line of a JSONL file;
+    a SchemaError names the file and line."""
+    out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
                 d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise SchemaError("not a JSON object")
+                out.append(parse(d))
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            yield lineno, d
+            except SchemaError as e:
+                raise SchemaError(f"{path}:{lineno}: {e}") from e
+    return out
 
 
 def read_examples(path: str) -> list:
-    return [InstructionExample.from_dict(d) for _, d in _jsonl_records(path)]
+    return _jsonl_records(path, InstructionExample.from_dict)
 
 
 def read_captions(path: str) -> list:
-    out = []
-    for lineno, d in _jsonl_records(path):
-        for key in ("id", "media", "caption", "source"):
-            if key not in d:
-                raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
-        if not d["caption"]:
-            raise SchemaError(f"{path}:{lineno}: empty caption")
-        if not d["media"]:
-            raise SchemaError(f"{path}:{lineno}: empty media list")
-        out.append(CaptionRecord(id=str(d["id"]),
-                                 media=tuple(_check_media(d["media"], d["id"])),
-                                 caption=d["caption"], source=str(d["source"])))
-    return out
+    return _jsonl_records(path, CaptionRecord.from_dict)

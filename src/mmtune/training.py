@@ -80,25 +80,23 @@ def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
     """Encode media, transform/align them into soft tokens, and assemble the
     full input sequence for one dataset example."""
     freeze = bool(train_cfg and train_cfg.freeze_embedding)
-    aligned = {"image": None, "video": None, "audio": None}
-    for m in example.media:
-        ref = m if isinstance(m, MediaRef) else MediaRef.from_path(
-            m["kind"], m["path"], frames=m.get("frames"))
-        if aligned[ref.kind] is not None:
+    soft = {}
+    for m in example.media:  # only the first item of each kind is used
+        kind = m["kind"]
+        if kind in soft:
             continue
-        feats = encoders.encode(ref, mod_cfg)
-        h_prime = transform(feats, params.transform_weights(ref.kind),
+        feats = encoders.encode(
+            MediaRef.from_path(kind, m["path"], frames=m.get("frames")), mod_cfg)
+        h_prime = transform(feats, params.group(f"transform.{kind}"),
                             mod_cfg.l_prime)
-        proj = ({n: params[f"align.{ref.kind}.{n}"] for n in ("wq", "wk", "wv", "wo")}
-                if dec_cfg.alignment_heads > 1 else None)
-        aligned[ref.kind] = align(h_prime, params.embedding, ref.kind,
-                                  freeze_embedding=freeze, proj=proj,
-                                  heads=dec_cfg.alignment_heads)
+        proj = (params.group(f"align.{kind}") if dec_cfg.alignment_heads > 1
+                else None)
+        soft[kind] = align(h_prime, params.embedding, freeze_embedding=freeze,
+                           proj=proj, heads=dec_cfg.alignment_heads)
     instr_ids, resp_ids = frame_text_ids(
         vocab, example.instruction,
         example.response if with_response else None)
-    return assemble_prefix(aligned["image"], aligned["video"], aligned["audio"],
-                           instr_ids, lambda ids: embed_tokens(ids, params),
+    return assemble_prefix(soft, instr_ids, lambda ids: embed_tokens(ids, params),
                            response_ids=resp_ids)
 
 
@@ -260,7 +258,7 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     n = len(dataset)
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)
-    total = cfg.epochs * per_epoch
+    total = total_optimizer_steps(n, cfg)
     data_hash = _dataset_hash(dataset)
 
     if resume_from is not None:

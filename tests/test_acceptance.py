@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mmtune import dataset as ds
-from mmtune.alignment import align, assemble_prefix, init_transform_weights, transform
+from mmtune.alignment import align, assemble_prefix, init_transform, transform
 from mmtune.autograd import Tensor, finite_diff_check
 from mmtune.cli import dispatch
 from mmtune.cognitive import (DecoderConfig, embed_tokens, forward,
@@ -88,7 +88,7 @@ class TestAcceptance:
         for _ in range(100):
             h = rng.normal(size=(3, 5))
             e = rng.normal(size=(11, 5))
-            out = align(Tensor(h), Tensor(e)).matrix.data
+            out = align(Tensor(h), Tensor(e)).data
             s = h @ e.T / math.sqrt(5)
             w = np.exp(s - s.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
@@ -101,20 +101,19 @@ class TestAcceptance:
         rng = np.random.default_rng(31)
         l_prime = 4
         for length in (4, 5, 7, 16, 30, 64, 257):
-            w = init_transform_weights(length, 6, 8, l_prime, rng)
+            w = init_transform(length, 6, 8, l_prime, rng)
             feats = ModalityFeatures("image", rng.normal(size=(length, 6)))
             assert transform(feats, w, l_prime).shape == (l_prime, 8)
 
         e = Tensor(rng.normal(size=(40, 8)))
         instr_ids = [1, 10, 11, 12, 3]
-        tokens = {k: align(Tensor(rng.normal(size=(l_prime, 8))), e, k)
+        tokens = {k: align(Tensor(rng.normal(size=(l_prime, 8))), e)
                   for k in ("image", "video", "audio")}
         for bits in range(1, 8):
-            present = {k: tokens[k] if (bits >> i) & 1 else None
-                       for i, k in enumerate(("image", "video", "audio"))}
-            m = sum(v is not None for v in present.values())
-            seq = assemble_prefix(present["image"], present["video"],
-                                  present["audio"], instr_ids,
+            present = {k: tokens[k] for i, k in enumerate(("image", "video", "audio"))
+                       if (bits >> i) & 1}
+            m = len(present)
+            seq = assemble_prefix(present, instr_ids,
                                   lambda ids: Tensor(e.data[ids]))
             assert seq.length == m * l_prime + len(instr_ids)
 
@@ -256,7 +255,7 @@ class TestAcceptance:
             n = int(rng.integers(3, 20))
             ids = list(rng.integers(4, 260, size=n))
             j = int(rng.integers(1, n))
-            seq = assemble_prefix(None, None, None, ids,
+            seq = assemble_prefix({}, ids,
                                   lambda i: embed_tokens(i, tiny_params))
             base = forward(seq, tiny_params, tiny_dec_cfg).data
             zeroed = seq.embedded.data.copy()
@@ -267,7 +266,7 @@ class TestAcceptance:
                 tiny_params, tiny_dec_cfg).data
             np.testing.assert_array_equal(base[:j], pert[:j])
 
-        seq = assemble_prefix(None, None, None, [1, 10, 11, 3],
+        seq = assemble_prefix({}, [1, 10, 11, 3],
                               lambda i: embed_tokens(i, tiny_params),
                               response_ids=[20, 21, 2])
         logits = Tensor(rng.normal(size=(seq.length, 260)))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
-from mmtune.alignment import (AlignedTokens, align, assemble_prefix,
-                              derive_stride_kernel, init_transform_weights,
-                              transform)
+from mmtune.alignment import (align, assemble_prefix, derive_stride_kernel,
+                              init_transform, transform)
 from mmtune.autograd import Tensor, attention, finite_diff_check
 from mmtune.encoders import ModalityFeatures
 from mmtune.errors import BadLength, MissingText, ShapeMismatch
@@ -212,22 +211,20 @@ class TestTransform:
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
-        w = init_transform_weights(16, 8, 12, 4, rng)
+        w = init_transform(16, 8, 12, 4, rng)
         feats = ModalityFeatures("image", rng.normal(size=(16, 8)))
         assert transform(feats, w, 4).shape == (4, 12)
 
     def test_pointwise_case(self):
         rng = np.random.default_rng(5)
-        w = init_transform_weights(4, 8, 12, 4, rng)
+        w = init_transform(4, 8, 12, 4, rng)
         feats = ModalityFeatures("image", rng.normal(size=(4, 8)))
         assert transform(feats, w, 4).shape == (4, 12)
 
     def test_sliding_window_oracle(self):
         # 3x1 features [1,2,3], L'=2 (s=1, k=2), conv [[1],[1]], identity linear
-        from mmtune.alignment import TransformWeights
-        w = TransformWeights(conv_w=Tensor(np.ones((2, 1, 1))),
-                             conv_b=Tensor(np.zeros(1)),
-                             lin_w=Tensor(np.eye(1)), lin_b=Tensor(np.zeros(1)))
+        w = {"conv_w": Tensor(np.ones((2, 1, 1))), "conv_b": Tensor(np.zeros(1)),
+             "lin_w": Tensor(np.eye(1)), "lin_b": Tensor(np.zeros(1))}
         feats = ModalityFeatures("image", np.array([[1.0], [2.0], [3.0]]))
         out = transform(feats, w, 2)
         np.testing.assert_array_equal(out.data, [[3.0], [5.0]])
@@ -236,7 +233,7 @@ class TestTransform:
         rng = np.random.default_rng(6)
         l_prime = 3
         for L in range(l_prime, 64 * l_prime + 1, 7):
-            w = init_transform_weights(L, 4, 6, l_prime, rng)
+            w = init_transform(L, 4, 6, l_prime, rng)
             feats = ModalityFeatures("audio", rng.normal(size=(L, 4)))
             assert transform(feats, w, l_prime).shape == (l_prime, 6)
 
@@ -246,7 +243,7 @@ class TestAlign:
         rng = np.random.default_rng(7)
         e = rng.normal(size=(1, 6))
         out = align(Tensor(rng.normal(size=(3, 6))), Tensor(e))
-        for row in out.matrix.data:
+        for row in out.data:
             np.testing.assert_allclose(row, e[0], atol=1e-12)
 
     def test_convex_hull_reconstruction(self):
@@ -254,7 +251,7 @@ class TestAlign:
         for _ in range(100):
             h = rng.normal(size=(3, 5))
             e = rng.normal(size=(11, 5))
-            out = align(Tensor(h), Tensor(e)).matrix.data
+            out = align(Tensor(h), Tensor(e)).data
             w = attention_oracle_weights(h, e)
             assert (w >= -1e-9).all()
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
@@ -263,7 +260,7 @@ class TestAlign:
     def test_shared_arithmetic_with_attention(self):
         h = np.array([[1.0, 0.0]])
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = align(Tensor(h), Tensor(e)).matrix.data
+        out = align(Tensor(h), Tensor(e)).data
         np.testing.assert_allclose(out, attention_oracle(h, e, e), atol=1e-12)
 
     @pytest.mark.parametrize("projected,heads", [(False, 1), (True, 2)],
@@ -278,7 +275,7 @@ class TestAlign:
 
         def fn(p):
             proj = {n: p[n] for n in names} or None
-            return ag.mean_all(align(p["h"], p["E"], proj=proj, heads=heads).matrix)
+            return ag.mean_all(align(p["h"], p["E"], proj=proj, heads=heads))
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]
@@ -289,7 +286,7 @@ class TestAlign:
         rng = np.random.default_rng(10)
         e = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        ag.mean_all(align(h, e, freeze_embedding=True).matrix).backward()
+        ag.mean_all(align(h, e, freeze_embedding=True)).backward()
         assert e.grad is None
         assert h.grad is not None
 
@@ -309,41 +306,39 @@ class TestAssemblePrefix:
 
     def toks(self, n, d_e=6, kind="image"):
         rng = np.random.default_rng(hash(kind) % 2 ** 31)
-        return AlignedTokens(matrix=Tensor(rng.normal(size=(n, d_e))), kind=kind)
+        return Tensor(rng.normal(size=(n, d_e)))
 
     def test_full_combination_length(self):
-        seq = assemble_prefix(self.toks(4, kind="image"), self.toks(4, kind="video"),
-                              self.toks(4, kind="audio"), list(range(10)),
-                              self.embed(), response_ids=list(range(6)))
+        seq = assemble_prefix({k: self.toks(4, kind=k) for k in ("image", "video", "audio")},
+                              list(range(10)), self.embed(), response_ids=list(range(6)))
         assert seq.length == 12 + 16
 
     def test_all_presence_combinations(self):
         l_prime = 3
         for bits in range(8):
-            mods = [self.toks(l_prime, kind=k) if bits >> i & 1 else None
-                    for i, k in enumerate(("image", "video", "audio"))]
-            seq = assemble_prefix(mods[0], mods[1], mods[2], [10, 11],
-                                  self.embed(), response_ids=[12])
+            mods = {k: self.toks(l_prime, kind=k)
+                    for i, k in enumerate(("image", "video", "audio")) if bits >> i & 1}
+            seq = assemble_prefix(mods, [10, 11], self.embed(), response_ids=[12])
             m = bin(bits).count("1")
             assert seq.length == m * l_prime + 3
 
     def test_text_only(self):
-        seq = assemble_prefix(None, None, None, [5, 6, 7], self.embed())
+        seq = assemble_prefix({}, [5, 6, 7], self.embed())
         assert seq.length == 3
         assert [t for t, _, _ in seq.spans] == ["instruction-text"]
 
     def test_modality_order(self):
-        seq = assemble_prefix(self.toks(2, kind="image"), self.toks(2, kind="video"),
-                              self.toks(2, kind="audio"), [1], self.embed())
+        seq = assemble_prefix({k: self.toks(2, kind=k) for k in ("audio", "video", "image")},
+                              [1], self.embed())
         assert [t for t, _, _ in seq.spans] == ["image", "video", "audio",
                                                 "instruction-text"]
 
     def test_missing_text(self):
         with pytest.raises(MissingText):
-            assemble_prefix(None, None, None, [], self.embed())
+            assemble_prefix({}, [], self.embed())
 
     def test_ids_mark_soft_positions(self):
-        seq = assemble_prefix(self.toks(2), None, None, [8, 9], self.embed(),
+        seq = assemble_prefix({"image": self.toks(2)}, [8, 9], self.embed(),
                               response_ids=[4])
         assert list(seq.ids) == [-1, -1, 8, 9, 4]
         assert seq.span("response-text") == (4, 5)

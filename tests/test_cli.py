@@ -121,6 +121,26 @@ class TestDatasetCommands:
         p.write_text('{"id": "x"}\n')
         assert dispatch(["dataset-stats", "--data", str(p)]) == 3
 
+    def test_stats_non_object_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.jsonl"
+        p.write_text("5\n")
+        assert dispatch(["dataset-stats", "--data", str(p)]) == 3
+        assert f"{p}:1: not a JSON object" in capsys.readouterr().err
+
+    def test_stats_directory(self, tmp_path):
+        assert dispatch(["dataset-stats", "--data", str(tmp_path)]) == 3
+
+    def test_train_rejects_negative_frames(self, tmp_path, capsys):
+        rec = {"id": "v", "source": "s", "instruction": "what", "response": "x",
+               "media": [{"kind": "video", "path": "v.mp4", "frames": -3}]}
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(rec) + "\n")
+        code = dispatch(["train", "--config", write_cfg(tmp_path), "--data",
+                         str(p), "--out", str(tmp_path / "run"),
+                         "--max-steps", "1"])
+        assert code == 3
+        assert "frames" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -222,6 +242,10 @@ class TestTrainEvalGenerate:
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"JUNKJUNK")
         assert dispatch(["eval", "--checkpoint", str(p),
+                         "--data", trained["data"]]) == 3
+
+    def test_eval_checkpoint_directory(self, tmp_path, trained):
+        assert dispatch(["eval", "--checkpoint", str(tmp_path),
                          "--data", trained["data"]]) == 3
 
     @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key],

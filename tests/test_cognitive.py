@@ -19,7 +19,7 @@ from test_alignment import composed_attention
 
 
 def text_sequence(ids, params):
-    return assemble_prefix(None, None, None, list(ids),
+    return assemble_prefix({}, list(ids),
                            lambda i: embed_tokens(i, params))
 
 
@@ -153,7 +153,7 @@ class TestGenerateGreedy:
                             tiny_dec_cfg)
 
     def test_rejects_response_span(self, tiny_params, tiny_dec_cfg):
-        seq = assemble_prefix(None, None, None, [1, 5, 3],
+        seq = assemble_prefix({}, [1, 5, 3],
                               lambda i: embed_tokens(i, tiny_params),
                               response_ids=[9, 2])
         with pytest.raises(ValueError):

@@ -224,6 +224,42 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             read_examples(str(p))
 
+    @pytest.mark.parametrize("reader", [read_examples, read_captions])
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_non_object_line_names_file_and_line(self, tmp_path, reader, line):
+        p = tmp_path / "bad.jsonl"
+        p.write_text("\n" + line + "\n")
+        with pytest.raises(SchemaError) as exc:
+            reader(str(p))
+        assert str(exc.value) == f"{p}:2: not a JSON object"
+
+    def test_example_schema_error_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(ex(0).to_dict()) + "\n"
+                     + json.dumps({"id": "x", "source": "s"}) + "\n")
+        with pytest.raises(SchemaError, match="^" + str(p) + ":2: "):
+            read_examples(str(p))
+
+    @pytest.mark.parametrize("frames", [-3, 0, "12", True, 2.5, None],
+                             ids=["negative", "zero", "string", "bool", "float",
+                                  "null"])
+    def test_frames_must_be_positive_int(self, tmp_path, frames):
+        media = [{"kind": "video", "path": "v.mp4", "frames": frames}]
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(dict(ex(0).to_dict(), media=media)) + "\n")
+        with pytest.raises(SchemaError, match=":1: .*frames"):
+            read_examples(str(p))
+        p.write_text(json.dumps({"id": "c", "media": media, "caption": "a dog",
+                                 "source": "s"}) + "\n")
+        with pytest.raises(SchemaError, match=":1: .*frames"):
+            read_captions(str(p))
+
+    def test_positive_frames_accepted(self, tmp_path):
+        media = [{"kind": "video", "path": "v.mp4", "frames": 1}]
+        p = tmp_path / "ok.jsonl"
+        p.write_text(json.dumps(dict(ex(0).to_dict(), media=media)) + "\n")
+        assert read_examples(str(p))[0].media[0]["frames"] == 1
+
     def test_text_only_examples_allowed(self, tmp_path):
         # text instruction data travels through the same schema with no media
         rec = {"id": "t1", "source": "alpaca", "media": [],

@@ -2,7 +2,14 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+
 from mmtune import autograd
+from mmtune.cognitive import DecoderConfig, init_params
+from mmtune.dataset import InstructionExample
+from mmtune.encoders import ModalityConfig
+from mmtune.tokenizer import Vocab
+from mmtune.training import build_sequence
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -10,16 +17,26 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     # Tracer() looks up every function the traced benchmark run wraps, so a
-    # rename or deletion in src/ fails here instead of inside the benchmark
+    # rename or deletion in src/ fails here instead of inside the benchmark;
+    # one build_sequence call then shows each stage is wrapped where it is
+    # called from, so its per-layer metrics do not silently read 0
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_mod = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
     spec.loader.exec_module(tracer_mod)
+    dec_cfg, mod_cfg = DecoderConfig(d_e=16, heads=2, d_ff=32), ModalityConfig()
+    params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
+    ex = InstructionExample(id="t", media=({"kind": "audio", "path": "a"},),
+                            instruction="what", response="a bell", source="s")
     matmul = autograd.matmul
     tracer = tracer_mod.Tracer()
     tracer.start()
     try:
         assert autograd.matmul is not matmul
+        build_sequence(ex, params, dec_cfg, mod_cfg, Vocab())
     finally:
-        tracer.stop()
+        calls = tracer.stop().calls
     assert autograd.matmul is matmul
+    for name in ("encoders.encode", "alignment.transform", "alignment.align",
+                 "alignment.assemble_prefix"):
+        assert calls[name] == 1, (name, calls[name])

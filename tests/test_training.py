@@ -14,6 +14,7 @@ from mmtune.alignment import assemble_prefix
 from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                               init_params)
+from mmtune.dataset import InstructionExample
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            EmptyDataset, NoResponseSpan, VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
@@ -25,7 +26,7 @@ from conftest import (bogus_decoder_key, drop_dataset_key, make_examples,
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
-    return assemble_prefix(None, None, None, list(instr_ids),
+    return assemble_prefix({}, list(instr_ids),
                            lambda i: embed_tokens(i, params),
                            response_ids=list(resp_ids))
 
@@ -58,7 +59,7 @@ class TestResponseNLL:
             assert float(response_nll(logits, seq).data) == base
 
     def test_no_response_span(self, tiny_params):
-        seq = assemble_prefix(None, None, None, [1, 5],
+        seq = assemble_prefix({}, [1, 5],
                               lambda i: embed_tokens(i, tiny_params))
         with pytest.raises(NoResponseSpan):
             response_nll(Tensor(np.zeros((2, 260))), seq)
@@ -179,6 +180,23 @@ class TestBuildSequence:
         grad = params.embedding.grad
         assert grad is None or not grad.any()
         assert params["align.image.wq"].grad.any()
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_second_item_of_a_kind_is_skipped(self, tiny_dec_cfg, tiny_mod_cfg,
+                                              vocab, heads):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=heads)
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(4))
+        one, two = (InstructionExample(id="d", media=media, instruction="what",
+                                       response="a cat", source="s")
+                    for media in [({"kind": "image", "path": "a"},),
+                                  ({"kind": "image", "path": "a"},
+                                   {"kind": "image", "path": "b"})])
+        seqs = [build_sequence(ex, params, dec_cfg, tiny_mod_cfg, vocab)
+                for ex in (one, two)]
+        np.testing.assert_array_equal(seqs[0].ids, seqs[1].ids)
+        assert seqs[0].spans == seqs[1].spans
+        a, b = (forward(seq, params, dec_cfg).data for seq in seqs)
+        assert a.tobytes() == b.tobytes()
 
 
 def adam_oracle(p, m, v, g, t, lr, cfg):
