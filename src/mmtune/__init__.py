@@ -7,13 +7,12 @@ caption-to-instruction dataset pipeline.
 from . import alignment, autograd, cognitive, dataset, encoders, tokenizer, training
 from .autograd import Tensor, finite_diff_check
 from .cognitive import DecoderConfig, ModelParams
-from .encoders import MediaRef, ModalityConfig, ModalityFeatures
+from .encoders import MediaRef, ModalityConfig
 from .tokenizer import Vocab
 from .training import Checkpoint, TrainConfig
 
 __all__ = [
     "alignment", "autograd", "cognitive", "dataset", "encoders", "tokenizer",
     "training", "Tensor", "finite_diff_check", "DecoderConfig", "ModelParams",
-    "MediaRef", "ModalityConfig", "ModalityFeatures", "Vocab", "Checkpoint",
-    "TrainConfig",
+    "MediaRef", "ModalityConfig", "Vocab", "Checkpoint", "TrainConfig",
 ]

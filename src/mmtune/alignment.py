@@ -12,10 +12,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoders import ModalityFeatures
+from .encoders import KINDS
 from .errors import BadLength, MissingText, ShapeMismatch
-
-MODALITY_ORDER = ("image", "video", "audio")
 
 
 def derive_stride_kernel(length: int, l_prime: int) -> tuple[int, int]:
@@ -44,16 +42,16 @@ def init_transform(length: int, d_h: int, d_e: int, l_prime: int,
     }
 
 
-def transform(features: ModalityFeatures, w: dict, l_prime: int) -> Tensor:
-    """Conv1D (stride/kernel derived from L and L') then a linear map to d_e,
-    with `w` as init_transform returns it."""
-    length = features.matrix.shape[0]
+def transform(features: np.ndarray, w: dict, l_prime: int) -> Tensor:
+    """Conv1D (stride/kernel derived from L and L') over the L×d_h features,
+    then a linear map to d_e, with `w` as init_transform returns it."""
+    length = features.shape[0]
     stride, kernel = derive_stride_kernel(length, l_prime)
     if w["conv_w"].shape[0] != kernel:
         raise ShapeMismatch(
             f"kernel {w['conv_w'].shape[0]} was built for a different input "
             f"length (need {kernel} for L={length}, L'={l_prime})")
-    h = ag.conv1d(Tensor(features.matrix), w["conv_w"], w["conv_b"], stride=stride)
+    h = ag.conv1d(Tensor(features), w["conv_w"], w["conv_b"], stride=stride)
     return ag.add(ag.matmul(h, w["lin_w"]), w["lin_b"])
 
 
@@ -103,15 +101,15 @@ def assemble_prefix(soft: dict, instruction_ids, embed,
     """Concatenate [image : video : audio : embedded text] and record spans.
 
     `soft` maps each present modality kind to its L'×d_e soft tokens, which
-    go in MODALITY_ORDER. `embed` maps an id list to an |ids|×d_e tensor. Ids are used exactly as
-    given; any BOS/SEP/EOS framing is the caller's responsibility.
+    go in encoders.KINDS order. `embed` maps an id list to an |ids|×d_e
+    tensor. Ids are used exactly as given; BOS/SEP/EOS framing is the caller's.
     """
     instruction_ids = list(instruction_ids)
     if not instruction_ids:
         raise MissingText("instruction ids must be non-empty")
     parts, spans, ids = [], [], []
     pos = 0
-    for tag in MODALITY_ORDER:
+    for tag in KINDS:
         if tag not in soft:
             continue
         n = soft[tag].shape[0]

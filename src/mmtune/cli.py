@@ -144,7 +144,7 @@ def _cmd_generate(args) -> int:
         if not path:
             kind, path = "image", spec
         media.append({"kind": kind, "path": path})
-    ex = ds.InstructionExample(id="cli", media=tuple(media),
+    ex = ds.InstructionExample(id="cli", media=ds.check_media(media, "cli"),
                                instruction=args.instruction, response="-",
                                source="cli")
     seq = build_sequence(ex, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg,

@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .alignment import InstructionSequence, init_transform
 from .autograd import Tensor
-from .encoders import ModalityConfig, check_field_types
+from .encoders import KINDS, ModalityConfig, check_field_types
 from .errors import InvalidId, SequenceTooLong
 from .tokenizer import EOS
 
@@ -103,12 +103,12 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
         tensors[f"{p}.ffn.b1"] = zeros(cfg.d_ff)
         tensors[f"{p}.ffn.w2"] = w(cfg.d_ff, d)
         tensors[f"{p}.ffn.b2"] = zeros(d)
-    for kind in ("image", "video", "audio"):
+    for kind in KINDS:
         tw = init_transform(mod_cfg.length(kind), mod_cfg.dim(kind), d,
                             mod_cfg.l_prime, rng)
         tensors.update({f"transform.{kind}.{n}": t for n, t in tw.items()})
     if cfg.alignment_heads > 1:
-        for kind in ("image", "video", "audio"):
+        for kind in KINDS:
             for name in ("wq", "wk", "wv", "wo"):
                 tensors[f"align.{kind}.{name}"] = w(d, d)
     return ModelParams(tensors)

@@ -62,6 +62,12 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     if seed is not None:
         merged["train"]["seed"] = seed
         merged["data"]["seed"] = seed
+    data_seed, n = merged["data"]["seed"], merged["data"]["mix"]["n_per_source"]
+    if type(data_seed) is not int:  # a bool is no seed or count
+        raise ConfigError(f"data.seed must be an int, got {data_seed!r}")
+    if n is not None and (type(n) is not int or n < 1):
+        raise ConfigError(f"data.mix.n_per_source must be null or an int "
+                          f">= 1, got {n!r}")
     try:
         objects = {"model": DecoderConfig(**merged["model"]),
                    "train": TrainConfig(**merged["train"]),

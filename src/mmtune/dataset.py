@@ -15,6 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
+from .encoders import KINDS
 from .errors import (ClientError, EmptyCaption, EmptyDataset, NoPairsFound,
                      SchemaError, SourceTooSmall)
 
@@ -54,15 +55,11 @@ class CaptionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaptionRecord":
-        for key in ("id", "media", "caption", "source"):
-            if key not in d:
-                raise SchemaError(f"missing key {key!r}")
-        if not d["caption"]:
-            raise SchemaError("empty caption")
-        if not d["media"]:
-            raise SchemaError("empty media list")
-        return cls(id=str(d["id"]), media=tuple(_check_media(d["media"], d["id"])),
-                   caption=d["caption"], source=str(d["source"]))
+        media = _check_record(d, ("caption",))
+        if not media:
+            raise SchemaError(f"record {d['id']!r}: empty media list")
+        return cls(id=str(d["id"]), media=media, caption=d["caption"],
+                   source=str(d["source"]))
 
 
 @dataclass(frozen=True)
@@ -80,29 +77,41 @@ class InstructionExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstructionExample":
-        for key in ("id", "source", "media", "instruction", "response"):
-            if key not in d:
-                raise SchemaError(f"example record missing key {key!r}")
-        if not d["instruction"] or not d["response"]:
-            raise SchemaError(f"example {d['id']!r}: empty instruction or response")
-        return cls(id=str(d["id"]), media=tuple(_check_media(d["media"], d["id"])),
-                   instruction=d["instruction"], response=d["response"],
-                   source=str(d["source"]))
+        media = _check_record(d, ("instruction", "response"))
+        return cls(id=str(d["id"]), media=media, instruction=d["instruction"],
+                   response=d["response"], source=str(d["source"]))
 
 
-def _check_media(media, owner) -> list:
+def _check_record(d: dict, texts: tuple) -> tuple:
+    """The checked media of `d`, a record with non-empty strings in `texts`."""
+    for key in ("id", "source", "media") + texts:
+        if key not in d:
+            raise SchemaError(f"record missing key {key!r}")
+    for key in texts:
+        if type(d[key]) is not str or not d[key]:
+            raise SchemaError(f"record {d['id']!r}: {key} must be a non-empty "
+                              f"string, got {d[key]!r}")
+    return check_media(d["media"], d["id"])
+
+
+def check_media(media, owner) -> tuple:
+    """Copies of the `{kind, path[, frames]}` media entries of record `owner`."""
+    if type(media) is not list:
+        raise SchemaError(f"record {owner!r}: media must be a list, got {media!r}")
     out = []
     for m in media:
-        if "kind" not in m or "path" not in m:
-            raise SchemaError(f"record {owner!r}: media entry needs kind and path")
-        if m["kind"] not in ("image", "video", "audio"):
-            raise SchemaError(f"record {owner!r}: unknown media kind {m['kind']!r}")
+        if type(m) is not dict or type(m.get("path")) is not str or not m["path"]:
+            raise SchemaError(f"record {owner!r}: media entry {m!r} must be an "
+                              "object with a non-empty string path")
+        if m.get("kind") not in KINDS:
+            raise SchemaError(f"record {owner!r}: unknown media kind "
+                              f"{m.get('kind')!r}")
         frames = m.get("frames", 1)
         if type(frames) is not int or frames < 1:  # a bool is no frame count
             raise SchemaError(f"record {owner!r}: frames must be an integer "
                               f">= 1, got {frames!r}")
         out.append(dict(m))
-    return out
+    return tuple(out)
 
 
 def build_prompt(caption: CaptionRecord) -> str:

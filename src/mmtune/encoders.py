@@ -1,9 +1,9 @@
 """Modality feature producers.
 
-Real vision/audio backbones are out of scope; features come either from a
-deterministic stub (seeded by a content fingerprint) or from a precomputed
-feature file. The binary feature format is little-endian:
-magic "MCWF", version u32, kind u8 (0=image, 1=video, 2=audio),
+Real vision/audio backbones are out of scope; features, plain L×d_h float64
+arrays, come either from a deterministic stub (seeded by a content
+fingerprint) or from a precomputed feature file. The binary feature format is
+little-endian: magic "MCWF", version u32, kind u8 (the kind's index in KINDS),
 rows u32, cols u32, then rows*cols float32 values row-major.
 """
 
@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import BadMagic, ShapeMismatch, TruncatedFile, UnknownKind
 
+# in soft-token order; a kind's index is its .mcwf kind byte
 KINDS = ("image", "video", "audio")
-_KIND_CODE = {"image": 0, "video": 1, "audio": 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _MAGIC = b"MCWF"
 _VERSION = 1
@@ -80,16 +79,11 @@ class ModalityConfig:
         if self.source_frames_default < 1:
             raise ValueError("source_frames_default must be >= 1")
 
-    def _kind_fields(self, kind: str) -> tuple[str, str]:
-        if kind not in _KIND_FIELDS:
-            raise UnknownKind(kind)
-        return _KIND_FIELDS[kind]
-
     def length(self, kind: str) -> int:
-        return getattr(self, self._kind_fields(kind)[0])
+        return getattr(self, _KIND_FIELDS[kind][0])
 
     def dim(self, kind: str) -> int:
-        return getattr(self, self._kind_fields(kind)[1])
+        return getattr(self, _KIND_FIELDS[kind][1])
 
 
 def fingerprint_bytes(data: bytes) -> int:
@@ -111,45 +105,28 @@ class MediaRef:
             raise UnknownKind(self.kind)
 
     @classmethod
-    def from_bytes(cls, kind: str, data: bytes, path=None, frames=None):
-        return cls(kind=kind, fingerprint=fingerprint_bytes(data), path=path,
-                   frames=frames)
-
-    @classmethod
     def from_path(cls, kind: str, path: str, frames=None):
         """Fingerprint file content when the path exists, else the path text.
 
         Nonexistent paths keep synthetic datasets usable offline: the path
         string itself is the content.
         """
+        data = path.encode("utf-8")
         if os.path.isfile(path):
             with open(path, "rb") as f:
-                return cls.from_bytes(kind, f.read(), path=path, frames=frames)
-        return cls.from_bytes(kind, path.encode("utf-8"), path=path, frames=frames)
-
-
-@dataclass
-class ModalityFeatures:
-    kind: str
-    matrix: np.ndarray  # L×d_h
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UnknownKind(self.kind)
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+                data = f.read()
+        return cls(kind, fingerprint_bytes(data), path=path, frames=frames)
 
 
 def _rng_for(*seed_ints) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(seed_ints)))
 
 
-def stub_encode(media: MediaRef, cfg: ModalityConfig) -> ModalityFeatures:
+def stub_encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """Deterministic stand-in encoder: uniform [-1, 1] features seeded by
     the media fingerprint."""
     shape = (cfg.length(media.kind), cfg.dim(media.kind))
-    rng = _rng_for(media.fingerprint)
-    return ModalityFeatures(kind=media.kind,
-                            matrix=rng.uniform(-1.0, 1.0, size=shape))
+    return _rng_for(media.fingerprint).uniform(-1.0, 1.0, size=shape)
 
 
 def sample_frames(frame_count: int, target: int) -> list[int]:
@@ -165,44 +142,42 @@ def frame_fingerprint(fingerprint: int, frame_index: int) -> int:
     return fingerprint_bytes(payload)
 
 
-def encode_video(media: MediaRef, cfg: ModalityConfig) -> ModalityFeatures:
+def encode_video(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """One pooled feature row per sampled frame, stacked to F×d_h."""
-    if media.kind != "video":
-        raise UnknownKind(f"encode_video got kind {media.kind!r}")
     n = media.frames or cfg.source_frames_default
     idx = sample_frames(n, cfg.video_frames)
     d = cfg.video_dim
     rows = [_rng_for(frame_fingerprint(media.fingerprint, i)).uniform(-1.0, 1.0, size=(1, d))
             for i in idx]
-    return ModalityFeatures(kind="video", matrix=np.concatenate(rows, axis=0))
+    return np.concatenate(rows, axis=0)
 
 
-def encode(media: MediaRef, cfg: ModalityConfig) -> ModalityFeatures:
-    """Dispatch to the stub encoder appropriate for the media kind."""
+def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
+    """The L×d_h features of `media`: read from its `.mcwf` file when its
+    path names one, else from the stub encoder for its kind."""
     if media.path and media.path.endswith(".mcwf") and os.path.isfile(media.path):
-        feats = load_features(media.path)
-        if feats.kind != media.kind:
-            raise ShapeMismatch(
-                f"feature file kind {feats.kind} != media kind {media.kind}")
-        expect = (cfg.length(media.kind), cfg.dim(media.kind))
-        if feats.matrix.shape != expect:
-            raise ShapeMismatch(
-                f"feature file shape {feats.matrix.shape} != configured {expect}")
-        return feats
+        kind, matrix = load_features(media.path)
+        expect = (media.kind, (cfg.length(media.kind), cfg.dim(media.kind)))
+        if (kind, matrix.shape) != expect:
+            raise ShapeMismatch(f"feature file kind and shape {kind} "
+                                f"{matrix.shape} != configured {expect}")
+        return matrix
     if media.kind == "video":
         return encode_video(media, cfg)
     return stub_encode(media, cfg)
 
 
-def save_features(path: str, feats: ModalityFeatures) -> None:
-    rows, cols = feats.matrix.shape
+def save_features(path: str, kind: str, matrix: np.ndarray) -> None:
+    """Write the rows×cols features `matrix` of `kind`, rounded to float32."""
+    rows, cols = matrix.shape
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<IBII", _VERSION, _KIND_CODE[feats.kind], rows, cols))
-        f.write(feats.matrix.astype("<f4").tobytes(order="C"))
+        f.write(struct.pack("<IBII", _VERSION, KINDS.index(kind), rows, cols))
+        f.write(matrix.astype("<f4").tobytes(order="C"))
 
 
-def load_features(path: str) -> ModalityFeatures:
+def load_features(path: str) -> tuple[str, np.ndarray]:
+    """The (kind, float64 matrix) a feature file holds."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MAGIC:
@@ -213,11 +188,11 @@ def load_features(path: str) -> ModalityFeatures:
     version, kind_code, rows, cols = struct.unpack("<IBII", header)
     if version != _VERSION:
         raise BadMagic(f"{path}: unsupported version {version}")
-    if kind_code not in _CODE_KIND:
+    if kind_code >= len(KINDS):
         raise UnknownKind(f"{path}: kind code {kind_code}")
     body = raw[4 + struct.calcsize("<IBII"):]
     need = rows * cols * 4
     if len(body) < need:
         raise TruncatedFile(f"{path}: expected {need} payload bytes, got {len(body)}")
     matrix = np.frombuffer(body[:need], dtype="<f4").reshape(rows, cols)
-    return ModalityFeatures(kind=_CODE_KIND[kind_code], matrix=matrix)
+    return KINDS[kind_code], matrix.astype(np.float64)

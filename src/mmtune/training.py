@@ -22,7 +22,7 @@ from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
 from .dataset import example_to_line
 from .encoders import MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
-                     NoResponseSpan, VersionMismatch)
+                     NoResponseSpan, SequenceTooLong, VersionMismatch)
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
@@ -249,12 +249,21 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     visits the examples in the order drawn from (cfg.seed, e), so a
     checkpoint's step alone says where training stands: resume_from
     restarts from a checkpoint saved at any step and reproduces the
-    uninterrupted run bitwise. Configs or a dataset (its examples and their
-    order) that differ from the checkpoint's raise ConfigError.
+    uninterrupted run bitwise. Before step 0, configs or a dataset (its
+    examples and their order) that differ from the checkpoint's raise
+    ConfigError, and an example over either max_seq_len SequenceTooLong.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot fit on an empty dataset")
+    limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
+    for ex in dataset:  # l_prime soft tokens per kind, then the framed text
+        instr, resp = frame_text_ids(vocab, ex.instruction, ex.response)
+        length = (mod_cfg.l_prime * len({m["kind"] for m in ex.media})
+                  + len(instr) + len(resp))
+        if length > limit:
+            raise SequenceTooLong(f"example {ex.id!r}: sequence length "
+                                  f"{length} > max_seq_len {limit}")
     n = len(dataset)
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)

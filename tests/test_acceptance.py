@@ -21,7 +21,7 @@ from mmtune.cognitive import (DecoderConfig, embed_tokens, forward,
                               generate_greedy, init_params)
 from mmtune.config import load_config
 from mmtune.dataset import InstructionExample
-from mmtune.encoders import ModalityConfig, ModalityFeatures
+from mmtune.encoders import ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_sequence,
                              evaluate, fit, lr_at, response_nll)
@@ -102,7 +102,7 @@ class TestAcceptance:
         l_prime = 4
         for length in (4, 5, 7, 16, 30, 64, 257):
             w = init_transform(length, 6, 8, l_prime, rng)
-            feats = ModalityFeatures("image", rng.normal(size=(length, 6)))
+            feats = rng.normal(size=(length, 6))
             assert transform(feats, w, l_prime).shape == (l_prime, 8)
 
         e = Tensor(rng.normal(size=(40, 8)))

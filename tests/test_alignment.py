@@ -7,7 +7,6 @@ from mmtune import autograd as ag
 from mmtune.alignment import (align, assemble_prefix, derive_stride_kernel,
                               init_transform, transform)
 from mmtune.autograd import Tensor, attention, finite_diff_check
-from mmtune.encoders import ModalityFeatures
 from mmtune.errors import BadLength, MissingText, ShapeMismatch
 
 
@@ -212,20 +211,20 @@ class TestTransform:
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         w = init_transform(16, 8, 12, 4, rng)
-        feats = ModalityFeatures("image", rng.normal(size=(16, 8)))
+        feats = rng.normal(size=(16, 8))
         assert transform(feats, w, 4).shape == (4, 12)
 
     def test_pointwise_case(self):
         rng = np.random.default_rng(5)
         w = init_transform(4, 8, 12, 4, rng)
-        feats = ModalityFeatures("image", rng.normal(size=(4, 8)))
+        feats = rng.normal(size=(4, 8))
         assert transform(feats, w, 4).shape == (4, 12)
 
     def test_sliding_window_oracle(self):
         # 3x1 features [1,2,3], L'=2 (s=1, k=2), conv [[1],[1]], identity linear
         w = {"conv_w": Tensor(np.ones((2, 1, 1))), "conv_b": Tensor(np.zeros(1)),
              "lin_w": Tensor(np.eye(1)), "lin_b": Tensor(np.zeros(1))}
-        feats = ModalityFeatures("image", np.array([[1.0], [2.0], [3.0]]))
+        feats = np.array([[1.0], [2.0], [3.0]])
         out = transform(feats, w, 2)
         np.testing.assert_array_equal(out.data, [[3.0], [5.0]])
 
@@ -234,7 +233,7 @@ class TestTransform:
         l_prime = 3
         for L in range(l_prime, 64 * l_prime + 1, 7):
             w = init_transform(L, 4, 6, l_prime, rng)
-            feats = ModalityFeatures("audio", rng.normal(size=(L, 4)))
+            feats = rng.normal(size=(L, 4))
             assert transform(feats, w, l_prime).shape == (l_prime, 6)
 
 

@@ -220,7 +220,12 @@ class TestTrainEvalGenerate:
         ("modality", "source_frames_default", 0),
         # decoder geometry
         ("model", "alignment_heads", 3), ("model", "d_e", 0),
-        ("model", "d_ff", 0), ("model", "max_seq_len", 0)])
+        ("model", "d_ff", 0), ("model", "max_seq_len", 0),
+        # the data section: the mix seed and the per-source sample count
+        ("data", "seed", "3"), ("data", "seed", 1.5), ("data", "seed", True),
+        ("data", "mix", {"n_per_source": -1}), ("data", "mix", {"n_per_source": 0}),
+        ("data", "mix", {"n_per_source": "3"}),
+        ("data", "mix", {"n_per_source": True})])
     def test_mistyped_or_out_of_range_value_exits_2(self, tmp_path, section,
                                                     key, value, capsys):
         p = tmp_path / "bad.json"
@@ -264,6 +269,13 @@ class TestTrainEvalGenerate:
                          "--media", "image:some/pic.jpg",
                          "--max-new", "8"])
         assert code == 0
+
+    def test_generate_unknown_media_kind_exits_3(self, trained, capsys):
+        code = dispatch(["generate", "--checkpoint",
+                         str(trained["out"] / "final.ckpt"),
+                         "--instruction", "hi", "--media", "bogus:x"])
+        assert code == 3
+        assert "kind 'bogus'" in capsys.readouterr().err
 
     def test_generate_deterministic(self, trained, capsys):
         argv = ["generate", "--checkpoint", str(trained["out"] / "final.ckpt"),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -253,6 +254,25 @@ class TestJsonl:
                                  "source": "s"}) + "\n")
         with pytest.raises(SchemaError, match=":1: .*frames"):
             read_captions(str(p))
+
+    @pytest.mark.parametrize("field,value", [
+        ("media", 5), ("media", [5]), ("media", [None]),
+        ("media", [{"kind": "image", "path": 3}]),
+        ("media", [{"kind": "image", "path": ""}]),
+        ("media", [{"kind": "image", "path": None}]),
+        ("instruction", 7), ("response", ["a"]), ("caption", 7)],
+        ids=["media-int", "item-int", "item-null", "path-int", "path-empty",
+             "path-null", "instruction-int", "response-list", "caption-int"])
+    def test_field_types_checked(self, tmp_path, field, value):
+        if field == "caption":
+            rec, reader = {"id": "c", "media": [{"kind": "image", "path": "p"}],
+                           "caption": value, "source": "s"}, read_captions
+        else:
+            rec, reader = dict(ex(0).to_dict(), **{field: value}), read_examples
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}:1: "):
+            reader(str(p))
 
     def test_positive_frames_accepted(self, tmp_path):
         media = [{"kind": "video", "path": "v.mp4", "frames": 1}]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mmtune.encoders import (MediaRef, ModalityConfig, ModalityFeatures,
-                             encode_video, fingerprint_bytes, frame_fingerprint,
+from mmtune.encoders import (MediaRef, ModalityConfig, encode, encode_video,
+                             fingerprint_bytes, frame_fingerprint,
                              load_features, sample_frames, save_features,
                              stub_encode)
-from mmtune.errors import BadMagic, TruncatedFile, UnknownKind
+from mmtune.errors import BadMagic, ShapeMismatch, TruncatedFile, UnknownKind
 
 
 @pytest.fixture
@@ -19,15 +19,15 @@ class TestStubEncode:
         m = MediaRef("image", fingerprint=12345)
         a = stub_encode(m, cfg)
         b = stub_encode(m, cfg)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_contract(self, cfg):
         m = MediaRef("image", fingerprint=1)
-        assert stub_encode(m, cfg).matrix.shape == (16, 32)
-        assert stub_encode(MediaRef("audio", fingerprint=1), cfg).matrix.shape == (24, 32)
+        assert stub_encode(m, cfg).shape == (16, 32)
+        assert stub_encode(MediaRef("audio", fingerprint=1), cfg).shape == (24, 32)
 
     def test_values_in_range(self, cfg):
-        m = stub_encode(MediaRef("image", fingerprint=7), cfg).matrix
+        m = stub_encode(MediaRef("image", fingerprint=7), cfg)
         assert m.min() >= -1.0 and m.max() <= 1.0
 
     def test_distinct_fingerprints_differ(self, cfg):
@@ -36,8 +36,8 @@ class TestStubEncode:
             f1, f2 = rng.integers(0, 2 ** 63, size=2)
             if f1 == f2:
                 continue
-            a = stub_encode(MediaRef("image", fingerprint=int(f1)), cfg).matrix
-            b = stub_encode(MediaRef("image", fingerprint=int(f2)), cfg).matrix
+            a = stub_encode(MediaRef("image", fingerprint=int(f1)), cfg)
+            b = stub_encode(MediaRef("image", fingerprint=int(f2)), cfg)
             assert np.mean(a != b) >= 0.99
 
     def test_unknown_kind(self):
@@ -48,16 +48,16 @@ class TestStubEncode:
 class TestFeatureFiles:
     def test_roundtrip_bitwise(self, tmp_path, cfg):
         feats = stub_encode(MediaRef("audio", fingerprint=99), cfg)
-        feats.matrix = feats.matrix.astype(np.float32).astype(np.float64)
+        feats = feats.astype(np.float32).astype(np.float64)
         p = str(tmp_path / "a.mcwf")
-        save_features(p, feats)
-        loaded = load_features(p)
-        assert loaded.kind == "audio"
-        np.testing.assert_array_equal(loaded.matrix, feats.matrix)
+        save_features(p, "audio", feats)
+        kind, loaded = load_features(p)
+        assert kind == "audio"
+        np.testing.assert_array_equal(loaded, feats)
 
     def test_bad_magic(self, tmp_path, cfg):
         p = str(tmp_path / "b.mcwf")
-        save_features(p, stub_encode(MediaRef("image", fingerprint=1), cfg))
+        save_features(p, "image", stub_encode(MediaRef("image", fingerprint=1), cfg))
         raw = bytearray(open(p, "rb").read())
         raw[0] ^= 0xFF
         open(p, "wb").write(bytes(raw))
@@ -66,12 +66,40 @@ class TestFeatureFiles:
 
     def test_truncated(self, tmp_path):
         p = str(tmp_path / "c.mcwf")
-        feats = ModalityFeatures("image", np.zeros((16, 32)))
-        save_features(p, feats)
+        feats = np.zeros((16, 32))
+        save_features(p, "image", feats)
         raw = open(p, "rb").read()
         open(p, "wb").write(raw[:4 + 13 + 10 * 4])  # header + 10 floats
         with pytest.raises(TruncatedFile):
             load_features(p)
+
+
+class TestEncodeFeatureFile:
+    def test_reads_float64_of_saved_float32(self, tmp_path, cfg):
+        feats = stub_encode(MediaRef("video", fingerprint=3), cfg)
+        p = str(tmp_path / "v.mcwf")
+        save_features(p, "video", feats)
+        out = encode(MediaRef.from_path("video", p, frames=100), cfg)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, feats.astype(np.float32))
+
+    @pytest.mark.parametrize("kind,rows,match", [("audio", 16, "audio"),
+                                                 ("image", 15, r"\(15, 32\)")])
+    def test_mismatch_with_media_or_config(self, tmp_path, cfg, kind, rows,
+                                           match):
+        p = str(tmp_path / "f.mcwf")
+        save_features(p, kind, np.zeros((rows, 32)))
+        with pytest.raises(ShapeMismatch, match=match):
+            encode(MediaRef.from_path("image", p), cfg)
+
+    def test_unknown_kind_byte(self, tmp_path, cfg):
+        p = tmp_path / "f.mcwf"
+        save_features(str(p), "image", np.zeros((16, 32)))
+        raw = bytearray(p.read_bytes())
+        raw[8] = 3  # after the magic and the u32 version
+        p.write_bytes(bytes(raw))
+        with pytest.raises(UnknownKind, match="kind code 3"):
+            encode(MediaRef.from_path("image", str(p)), cfg)
 
 
 class TestSampleFrames:
@@ -98,12 +126,12 @@ class TestSampleFrames:
 class TestEncodeVideo:
     def test_shape(self, cfg):
         m = MediaRef("video", fingerprint=5, frames=100)
-        assert encode_video(m, cfg).matrix.shape == (8, 32)
+        assert encode_video(m, cfg).shape == (8, 32)
 
     def test_deterministic(self, cfg):
         m = MediaRef("video", fingerprint=5, frames=100)
-        np.testing.assert_array_equal(encode_video(m, cfg).matrix,
-                                      encode_video(m, cfg).matrix)
+        np.testing.assert_array_equal(encode_video(m, cfg),
+                                      encode_video(m, cfg))
 
     def test_single_frame_equals_frame0_stub(self):
         cfg = ModalityConfig(l_prime=1, video_frames=1, video_dim=16,
@@ -113,7 +141,7 @@ class TestEncodeVideo:
         frame0 = MediaRef("image",
                           fingerprint=frame_fingerprint(m.fingerprint, 0))
         expected = stub_encode(frame0, cfg)
-        np.testing.assert_array_equal(out.matrix, expected.matrix)
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_fingerprint_pure_function_of_bytes(tmp_path):

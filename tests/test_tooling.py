@@ -7,7 +7,7 @@ import numpy as np
 from mmtune import autograd
 from mmtune.cognitive import DecoderConfig, init_params
 from mmtune.dataset import InstructionExample
-from mmtune.encoders import ModalityConfig
+from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import build_sequence
 
@@ -26,7 +26,8 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     spec.loader.exec_module(tracer_mod)
     dec_cfg, mod_cfg = DecoderConfig(d_e=16, heads=2, d_ff=32), ModalityConfig()
     params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
-    ex = InstructionExample(id="t", media=({"kind": "audio", "path": "a"},),
+    ex = InstructionExample(id="t", media=({"kind": "video", "path": "v",
+                                            "frames": 9},),
                             instruction="what", response="a bell", source="s")
     matmul = autograd.matmul
     tracer = tracer_mod.Tracer()
@@ -35,8 +36,11 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
         assert autograd.matmul is not matmul
         build_sequence(ex, params, dec_cfg, mod_cfg, Vocab())
     finally:
-        calls = tracer.stop().calls
+        record = tracer.stop()
     assert autograd.matmul is matmul
     for name in ("encoders.encode", "alignment.transform", "alignment.align",
                  "alignment.assemble_prefix"):
-        assert calls[name] == 1, (name, calls[name])
+        assert record.calls[name] == 1, (name, record.calls[name])
+    # encoders.encode.unique_ratio counts these, read off encode's arguments
+    fingerprint = MediaRef.from_path("video", "v").fingerprint
+    assert record.media == {("video", fingerprint, 9)}

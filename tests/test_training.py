@@ -16,7 +16,8 @@ from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                               init_params)
 from mmtune.dataset import InstructionExample
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
-                           EmptyDataset, NoResponseSpan, VersionMismatch)
+                           EmptyDataset, NoResponseSpan, SequenceTooLong,
+                           VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              _batch_loss_and_grads, build_sequence, evaluate,
                              fit, load_checkpoint, lr_at, response_nll,
@@ -325,6 +326,31 @@ class TestFit:
     def test_empty_dataset(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         with pytest.raises(EmptyDataset):
             fit([], tiny_dec_cfg, tiny_mod_cfg, vocab, self.small_cfg())
+
+    @pytest.mark.parametrize("dec_len,train_len", [(44, 96), (96, 44)],
+                             ids=["model-limit", "train-limit"])
+    def test_too_long_example_fails_before_step_0(self, tiny_dec_cfg,
+                                                  tiny_mod_cfg, vocab, tmp_path,
+                                                  dec_len, train_len):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, max_seq_len=dec_len)
+        long = InstructionExample(
+            id="long", source="s", instruction="describe", response="r" * 30,
+            media=({"kind": "audio", "path": "a"}, {"kind": "image", "path": "b"},
+                   {"kind": "audio", "path": "c"}))
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
+        # 2 kinds x l_prime 2, BOS + 8 + SEP, 30 + EOS
+        assert build_sequence(long, params, dec_cfg, tiny_mod_cfg,
+                              vocab).length == 45
+        data, logged = make_examples(5) + [long], []
+        with pytest.raises(SequenceTooLong, match="'long'.* 45 > .* 44"):
+            fit(data, dec_cfg, tiny_mod_cfg, vocab,
+                self.small_cfg(max_seq_len=train_len), out_dir=str(tmp_path),
+                log_fn=logged.append)
+        assert logged == [] and os.listdir(tmp_path) == []
+        # one more position on each limit lets the same data through
+        fit(data, dataclasses.replace(dec_cfg, max_seq_len=dec_len + 1),
+            tiny_mod_cfg, vocab, self.small_cfg(max_seq_len=train_len + 1),
+            max_steps=0)
 
     def test_zero_epochs(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         cfg = self.small_cfg(epochs=0)
