@@ -17,13 +17,15 @@ from .cognitive import generate_greedy
 from .config import load_config
 from .errors import (BadMagic, ClientError, ConfigError, CorruptPayload,
                      EmptyDataset, MMTuneError, SchemaError, SourceTooSmall,
-                     TruncatedFile, VersionMismatch)
+                     TruncatedFile, UnknownKind, VersionMismatch)
 from .tokenizer import Vocab
 from .training import build_sequence, evaluate, fit, load_checkpoint
 
+# UnknownKind here is a .mcwf kind byte: check_media vets every other kind
 _DATA_ERRORS = (SchemaError, EmptyDataset, SourceTooSmall, BadMagic,
-                TruncatedFile, CorruptPayload, VersionMismatch,
-                FileNotFoundError, IsADirectoryError)
+                TruncatedFile, UnknownKind, CorruptPayload, VersionMismatch,
+                FileNotFoundError, FileExistsError, IsADirectoryError,
+                NotADirectoryError)
 
 
 class _UsageError(Exception):
@@ -107,7 +109,6 @@ def _cmd_train(args) -> int:
         for ex in examples:
             by_source.setdefault(ex.source, []).append(ex)
         examples = ds.mix(by_source, n, cfg["data"]["seed"])
-    vocab = Vocab(size=objs["model"].vocab_size)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
     # a resumed run continues the log of the run it resumes
@@ -117,7 +118,7 @@ def _cmd_train(args) -> int:
                                   "lr": m["lr"], "grad_norm": m["grad_norm"]},
                                  sort_keys=True) + "\n")
 
-        ckpt, metrics = fit(examples, objs["model"], objs["modality"], vocab,
+        ckpt, metrics = fit(examples, objs["model"], objs["modality"], Vocab(),
                             objs["train"], out_dir=args.out,
                             resume_from=args.resume, max_steps=args.max_steps,
                             log_fn=log_fn)

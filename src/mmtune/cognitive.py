@@ -17,7 +17,7 @@ from .alignment import InstructionSequence, init_transform
 from .autograd import Tensor
 from .encoders import KINDS, ModalityConfig, check_field_types
 from .errors import InvalidId, SequenceTooLong
-from .tokenizer import EOS
+from .tokenizer import EOS, N_IDS
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class DecoderConfig:
     layers: int = 2
     heads: int = 4
     d_ff: int = 256
-    vocab_size: int = 260
     max_seq_len: int = 512
     alignment_heads: int = 1
 
@@ -87,7 +86,7 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
     def ones(*shape):
         return Tensor(np.ones(shape), requires_grad=True)
 
-    tensors = {"E": emb(cfg.vocab_size, d), "pos": emb(cfg.max_seq_len, d),
+    tensors = {"E": emb(N_IDS, d), "pos": emb(cfg.max_seq_len, d),
                "ln_f.g": ones(d), "ln_f.b": zeros(d)}
     for i in range(cfg.layers):
         p = f"layers.{i}"
@@ -116,11 +115,11 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
 
 def embed_tokens(ids, params: ModelParams) -> Tensor:
     """Row lookup into E; positional terms are added inside forward()."""
-    vocab_size = params.embedding.shape[0]
+    rows = params.embedding.shape[0]
     idx = np.asarray(list(ids), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab_size):
-        bad = idx[(idx < 0) | (idx >= vocab_size)][0]
-        raise InvalidId(f"token id {bad} outside [0, {vocab_size})")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        bad = idx[(idx < 0) | (idx >= rows)][0]
+        raise InvalidId(f"token id {bad} outside [0, {rows})")
     return ag.embedding(params.embedding, idx)
 
 

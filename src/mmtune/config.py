@@ -56,7 +56,9 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         try:
             with open(path, encoding="utf-8") as f:
                 user = json.load(f)
-        except json.JSONDecodeError as e:
+        except OSError as e:
+            raise ConfigError(f"cannot read config: {e}") from e
+        except ValueError as e:  # malformed JSON or UTF-8
             raise ConfigError(f"{path}: invalid JSON ({e})") from e
         merged = validate_config(user)
     if seed is not None:

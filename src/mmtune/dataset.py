@@ -58,6 +58,8 @@ class CaptionRecord:
         media = _check_record(d, ("caption",))
         if not media:
             raise SchemaError(f"record {d['id']!r}: empty media list")
+        if not d["caption"].strip():  # build_prompt would reject it mid-build
+            raise SchemaError(f"record {d['id']!r}: caption is blank")
         return cls(id=str(d["id"]), media=media, caption=d["caption"],
                    source=str(d["source"]))
 

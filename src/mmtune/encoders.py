@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadMagic, ShapeMismatch, TruncatedFile, UnknownKind
+from .errors import BadMagic, SchemaError, TruncatedFile, UnknownKind
 
 # in soft-token order; a kind's index is its .mcwf kind byte
 KINDS = ("image", "video", "audio")
@@ -159,8 +159,8 @@ def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
         kind, matrix = load_features(media.path)
         expect = (media.kind, (cfg.length(media.kind), cfg.dim(media.kind)))
         if (kind, matrix.shape) != expect:
-            raise ShapeMismatch(f"feature file kind and shape {kind} "
-                                f"{matrix.shape} != configured {expect}")
+            raise SchemaError(f"{media.path}: feature kind and shape {kind} "
+                              f"{matrix.shape} != configured {expect}")
         return matrix
     if media.kind == "video":
         return encode_video(media, cfg)

@@ -1,13 +1,13 @@
-"""Byte-level reversible tokenizer.
+"""Byte-level reversible tokenizer, the one place that fixes the vocabulary.
 
-Ids 0..3 are the specials PAD/BOS/EOS/SEP; ids 4..259 map one-to-one onto
+Ids 0..3 are the special ids PAD/BOS/EOS/SEP; ids 4..259 map one-to-one onto
 byte values, so decode(encode(s)) == s for any UTF-8 string and there is
-never an OOV token.
+never an OOV token. The embedding matrix has one row per id, N_IDS in all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidId, InvalidUtf8
 
@@ -17,19 +17,11 @@ EOS = 2
 SEP = 3
 
 _BYTE_OFFSET = 4
-_N_BYTES = 256
+N_IDS = _BYTE_OFFSET + 256
 
 
 @dataclass(frozen=True)
-class Vocab:
-    size: int = _BYTE_OFFSET + _N_BYTES  # 260
-    specials: dict = field(default_factory=lambda: {
-        "PAD": PAD, "BOS": BOS, "EOS": EOS, "SEP": SEP})
-
-    def __post_init__(self):
-        if self.size < _BYTE_OFFSET + _N_BYTES:
-            raise ValueError("vocab must cover all byte values plus specials")
-
+class Vocab:  # no state: every Vocab() is equal to every other
     def encode(self, text: str) -> list[int]:
         """One id per UTF-8 byte; no BOS/EOS framing (caller's job)."""
         return [b + _BYTE_OFFSET for b in text.encode("utf-8")]
@@ -46,17 +38,10 @@ class Vocab:
             i = int(i)
             if i in (PAD, BOS, EOS, SEP):
                 continue
-            if not _BYTE_OFFSET <= i < _BYTE_OFFSET + _N_BYTES:
-                raise InvalidId(f"id {i} outside byte range for vocab size {self.size}")
+            if not _BYTE_OFFSET <= i < N_IDS:
+                raise InvalidId(f"id {i} outside byte range [{_BYTE_OFFSET}, {N_IDS})")
             out.append(i - _BYTE_OFFSET)
         try:
             return out.decode("utf-8", errors=errors)
         except UnicodeDecodeError as e:
             raise InvalidUtf8(str(e)) from e
-
-    def to_dict(self) -> dict:
-        return {"size": self.size, "specials": dict(self.specials)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocab":
-        return cls(size=int(d["size"]), specials={k: int(v) for k, v in d["specials"].items()})

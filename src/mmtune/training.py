@@ -18,7 +18,8 @@ from . import autograd as ag
 from . import encoders
 from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
-from .cognitive import DecoderConfig, ModelParams, embed_tokens, forward
+from .cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
+                        init_params)
 from .dataset import example_to_line
 from .encoders import MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
@@ -26,7 +27,7 @@ from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
-_CKPT_VERSION = 4
+_CKPT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     """Run the full training loop; returns (Checkpoint, metrics list).
 
     Per-epoch checkpoints (and the final one) are written under out_dir when
-    given; when no step ran after the last epoch checkpoint, final.ckpt is a
+    given; when the last step run saved an epoch checkpoint, final.ckpt is a
     hard link to it rather than a second copy of the same bytes. Epoch e
     visits the examples in the order drawn from (cfg.seed, e), so a
     checkpoint's step alone says where training stands: resume_from
@@ -282,43 +283,35 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
     else:
         if params is None:
-            from .cognitive import init_params
             params = init_params(dec_cfg, mod_cfg, np.random.default_rng(cfg.seed))
         opt_state = AdamState.init(params)
         step = 0
 
     metrics = []
-    saved = None  # (path, step) of the last epoch checkpoint written
-    for epoch in range(step // per_epoch, cfg.epochs):
+    while step < total and (max_steps is None or step < max_steps):
+        epoch, k = divmod(step, per_epoch)
         perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        for i in range((step - epoch * per_epoch) * macro, n, macro):
-            if max_steps is not None and step >= max_steps:
-                break
-            batch = [dataset[j] for j in perm[i:i + macro]]
-            lr = lr_at(step, total, cfg)
-            m = train_step(batch, params, opt_state, cfg, dec_cfg, mod_cfg,
-                           vocab, lr)
-            m["step"] = step
-            metrics.append(m)
-            if log_fn:
-                log_fn(m)
-            step += 1
-        else:  # only an epoch that ran to its end gets a checkpoint
-            if out_dir is not None:
-                ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
-                                  opt_state, step, data_hash)
-                saved = (os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"), step)
-                save_checkpoint(saved[0], ckpt)
-        if max_steps is not None and step >= max_steps:
-            break
+        batch = [dataset[j] for j in perm[k * macro:(k + 1) * macro]]
+        m = train_step(batch, params, opt_state, cfg, dec_cfg, mod_cfg, vocab,
+                       lr_at(step, total, cfg))
+        m["step"] = step
+        metrics.append(m)
+        if log_fn:
+            log_fn(m)
+        step += 1
+        if out_dir is not None and step % per_epoch == 0:
+            save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
+                            Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
+                                       opt_state, step, data_hash))
     final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
                        data_hash)
     if out_dir is not None:
         path = os.path.join(out_dir, "final.ckpt")
-        if saved is not None and saved[1] == step:
-            # no step ran since the epoch checkpoint: it holds these bytes
+        if metrics and step % per_epoch == 0:
+            # the last step saved an epoch checkpoint holding these bytes
             try:
-                _link_checkpoint(saved[0], path)
+                _link_checkpoint(os.path.join(
+                    out_dir, f"epoch{step // per_epoch}.ckpt"), path)
             except OSError:  # a filesystem without hard links
                 save_checkpoint(path, final)
         else:
@@ -356,8 +349,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     header = json.dumps(
         {"decoder": asdict(ckpt.dec_cfg), "train": asdict(ckpt.train_cfg),
          "modality": asdict(ckpt.mod_cfg), "dataset": ckpt.dataset_hash,
-         "vocab": ckpt.vocab.to_dict(), "step": ckpt.step,
-         "adam_t": ckpt.opt_state.t,
+         "step": ckpt.step, "adam_t": ckpt.opt_state.t,
          "shapes": [[name, list(a.shape)] for name, a in zip(names, params)]},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = (params + [ckpt.opt_state.m[name] for name in names]
@@ -434,7 +426,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         return Checkpoint(dec_cfg=DecoderConfig(**head["decoder"]),
                           train_cfg=TrainConfig(**head["train"]),
                           mod_cfg=ModalityConfig(**head["modality"]),
-                          vocab=Vocab.from_dict(head["vocab"]),
+                          vocab=Vocab(),
                           params=ModelParams(params), opt_state=state,
                           step=head["step"], dataset_hash=head["dataset"])
     except Exception as e:

@@ -12,8 +12,7 @@ from mmtune.tokenizer import Vocab
 
 @pytest.fixture
 def tiny_dec_cfg():
-    return DecoderConfig(d_e=16, layers=1, heads=2, d_ff=32, vocab_size=260,
-                         max_seq_len=96)
+    return DecoderConfig(d_e=16, layers=1, heads=2, d_ff=32, max_seq_len=96)
 
 
 @pytest.fixture
@@ -62,6 +61,19 @@ def rewrite_ckpt_config(path, edit):
     block = json.dumps(cfg).encode("utf-8")
     open(path, "wb").write(raw[:8] + struct.pack("<I", len(block)) + block
                            + raw[12 + n:])
+
+
+def to_format_4(path):
+    """Rewrite the checkpoint at `path` as format 4 wrote it: version 4, and
+    the header's vocab block and decoder vocab_size."""
+    def add_vocab(cfg):
+        cfg["decoder"]["vocab_size"] = 260
+        cfg["vocab"] = {"size": 260,
+                        "specials": {"PAD": 0, "BOS": 1, "EOS": 2, "SEP": 3}}
+    rewrite_ckpt_config(path, add_vocab)
+    raw = bytearray(open(path, "rb").read())
+    struct.pack_into("<I", raw, 4, 4)
+    open(path, "wb").write(bytes(raw))
 
 
 def bogus_decoder_key(cfg):

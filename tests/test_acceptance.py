@@ -51,7 +51,7 @@ class TestAcceptance:
     def test_gradient_fidelity(self, vocab):
         start = time.monotonic()
         dec_cfg = DecoderConfig(d_e=16, layers=2, heads=2, d_ff=32,
-                                vocab_size=260, max_seq_len=96)
+                                max_seq_len=96)
         mod_cfg = ModalityConfig(l_prime=4, image_len=16, image_dim=6,
                                  video_frames=8, video_dim=6, audio_len=12,
                                  audio_dim=6)

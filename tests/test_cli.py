@@ -1,12 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mmtune.cli import dispatch
 from mmtune.config import default_config, load_config, validate_config
+from mmtune.encoders import save_features
 from mmtune.errors import ConfigError
-from conftest import bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config
+from conftest import (bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config,
+                      to_format_4)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -141,6 +144,44 @@ class TestDatasetCommands:
         assert code == 3
         assert "frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,rows,match", [
+        ("image", 6, "kind code 3"),   # the kind byte names no kind
+        ("audio", 6, "audio"),         # features of another kind
+        ("image", 5, r"(5, 5)")],      # a shape other than the configured one
+        ids=["kind-byte-3", "other-kind", "other-shape"])
+    def test_train_bad_feature_file_exits_3(self, tmp_path, capsys, kind, rows,
+                                            match):
+        feats = tmp_path / "f.mcwf"
+        save_features(str(feats), kind, np.zeros((rows, 5)))
+        if match == "kind code 3":
+            raw = bytearray(feats.read_bytes())
+            raw[8] = 3  # after the magic and the u32 version
+            feats.write_bytes(bytes(raw))
+        rec = {"id": "f", "source": "s", "instruction": "what", "response": "x",
+               "media": [{"kind": "image", "path": str(feats)}]}
+        p = tmp_path / "data.jsonl"
+        p.write_text(json.dumps(rec) + "\n")
+        code = dispatch(["train", "--config", write_cfg(tmp_path), "--data",
+                         str(p), "--out", str(tmp_path / "run"),
+                         "--max-steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"data error: {feats}: ") and match in err
+
+    def test_build_blank_caption_exits_3(self, tmp_path, capsys):
+        lines = open(os.path.join(DATA, "captions.jsonl"),
+                     encoding="utf-8").read().splitlines()
+        p = tmp_path / "captions.jsonl"
+        p.write_text(lines[0] + "\n"
+                     + json.dumps(dict(json.loads(lines[1]), caption=" \t"))
+                     + "\n")
+        out = tmp_path / "built.jsonl"
+        code = dispatch(["dataset-build", "--data", str(p), "--out", str(out),
+                         "--fixtures", os.path.join(DATA, "fixtures")])
+        assert code == 3
+        assert f"{p}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -193,6 +234,39 @@ class TestTrainEvalGenerate:
                          "--resume", str(trained["out"] / "final.ckpt")])
         assert code == 2
         assert "dataset does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [100, 260, 2000])
+    def test_vocab_size_is_an_unknown_key(self, trained, tmp_path, capsys,
+                                          value):
+        # the tokenizer alone fixes the vocabulary
+        code = dispatch(["train", "--config",
+                         write_cfg(tmp_path, model={"vocab_size": value}),
+                         "--data", trained["data"], "--out",
+                         str(tmp_path / "run"), "--max-steps", "1"])
+        assert code == 2
+        assert "unknown config key: model.vocab_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, trained, tmp_path, capsys, config):
+        p = tmp_path / "cfg.json"
+        if config == "directory":
+            p.mkdir()
+        elif config == "not-utf8":
+            p.write_bytes(b'{"seed": "\xff"}')
+        code = dispatch(["train", "--config", str(p), "--data", trained["data"],
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("out", ["f", "f/run"], ids=["file", "under-a-file"])
+    def test_train_out_over_a_file_exits_3(self, trained, tmp_path, capsys, out):
+        (tmp_path / "f").write_text("not a directory")
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(tmp_path / out),
+                         "--max-steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error: ") and err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -261,6 +335,14 @@ class TestTrainEvalGenerate:
         rewrite_ckpt_config(str(p), edit)
         assert dispatch(["eval", "--checkpoint", str(p),
                          "--data", trained["data"]]) == 3
+
+    def test_eval_format_4_checkpoint_exits_3(self, tmp_path, trained, capsys):
+        p = tmp_path / "v4.ckpt"
+        p.write_bytes((trained["out"] / "final.ckpt").read_bytes())
+        to_format_4(str(p))
+        assert dispatch(["eval", "--checkpoint", str(p),
+                         "--data", trained["data"]]) == 3
+        assert "checkpoint version 4" in capsys.readouterr().err
 
     def test_generate_runs(self, trained, capsys):
         code = dispatch(["generate", "--checkpoint",

@@ -13,7 +13,7 @@ from mmtune.cognitive import (DecoderConfig, KVCache, ModelParams, embed_tokens,
                               forward, generate_greedy, init_params)
 from mmtune.dataset import InstructionExample
 from mmtune.errors import InvalidId, SequenceTooLong
-from mmtune.tokenizer import EOS, Vocab
+from mmtune.tokenizer import EOS, N_IDS, Vocab
 from mmtune.training import build_sequence
 from test_alignment import composed_attention
 
@@ -31,9 +31,12 @@ class TestEmbedTokens:
     def test_shape(self, tiny_params):
         assert embed_tokens(list(range(10)), tiny_params).shape == (10, 16)
 
-    def test_invalid_id(self, tiny_params, tiny_dec_cfg):
+    def test_invalid_id(self, tiny_params):
         with pytest.raises(InvalidId):
-            embed_tokens([tiny_dec_cfg.vocab_size], tiny_params)
+            embed_tokens([N_IDS], tiny_params)
+
+    def test_one_embedding_row_per_tokenizer_id(self, tiny_params):
+        assert tiny_params["E"].shape == (N_IDS, 16)
 
 
 class TestForward:
@@ -72,8 +75,7 @@ class TestForward:
                                                  monkeypatch):
         # 150 tokens run each layer's attention in three row blocks, the last
         # one partial; the composed per-head chain is the oracle
-        cfg = DecoderConfig(d_e=16, layers=2, heads=4, d_ff=32, vocab_size=260,
-                            max_seq_len=160)
+        cfg = DecoderConfig(d_e=16, layers=2, heads=4, d_ff=32, max_seq_len=160)
         params = init_params(cfg, tiny_mod_cfg, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         ids = rng.integers(4, 260, size=150).tolist()
@@ -196,7 +198,7 @@ class TestKVCache:
     @pytest.fixture(params=[1, 4], ids=["heads1", "heads4"])
     def model(self, request, tiny_mod_cfg):
         cfg = DecoderConfig(d_e=16, layers=2, heads=request.param, d_ff=32,
-                            vocab_size=260, max_seq_len=96)
+                            max_seq_len=96)
         return cfg, init_params(cfg, tiny_mod_cfg, np.random.default_rng(0))
 
     @pytest.fixture(params=["text", "media"])

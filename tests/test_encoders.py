@@ -5,7 +5,7 @@ from mmtune.encoders import (MediaRef, ModalityConfig, encode, encode_video,
                              fingerprint_bytes, frame_fingerprint,
                              load_features, sample_frames, save_features,
                              stub_encode)
-from mmtune.errors import BadMagic, ShapeMismatch, TruncatedFile, UnknownKind
+from mmtune.errors import BadMagic, SchemaError, TruncatedFile, UnknownKind
 
 
 @pytest.fixture
@@ -89,8 +89,9 @@ class TestEncodeFeatureFile:
                                            match):
         p = str(tmp_path / "f.mcwf")
         save_features(p, kind, np.zeros((rows, 32)))
-        with pytest.raises(ShapeMismatch, match=match):
+        with pytest.raises(SchemaError, match=match) as e:
             encode(MediaRef.from_path("image", p), cfg)
+        assert str(e.value).startswith(p)
 
     def test_unknown_kind_byte(self, tmp_path, cfg):
         p = tmp_path / "f.mcwf"

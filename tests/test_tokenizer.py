@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmtune.errors import InvalidId, InvalidUtf8
-from mmtune.tokenizer import BOS, EOS, PAD, SEP, Vocab
+from mmtune.tokenizer import BOS, EOS, N_IDS, PAD, SEP, Vocab
 
 
 @pytest.fixture
@@ -13,7 +13,7 @@ def vocab():
 
 def test_specials_are_dense(vocab):
     assert (PAD, BOS, EOS, SEP) == (0, 1, 2, 3)
-    assert vocab.size == 260
+    assert N_IDS == 260
 
 
 def test_encode_ab(vocab):
@@ -38,15 +38,6 @@ def test_decode_invalid_utf8(vocab):
     # 0xFF is never valid UTF-8
     with pytest.raises(InvalidUtf8):
         vocab.decode([0xFF + 4])
-
-
-def test_vocab_too_small_rejected():
-    with pytest.raises(ValueError):
-        Vocab(size=128)
-
-
-def test_serialization_roundtrip(vocab):
-    assert Vocab.from_dict(vocab.to_dict()) == vocab
 
 
 @settings(max_examples=200, deadline=None)

@@ -41,6 +41,8 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     for name in ("encoders.encode", "alignment.transform", "alignment.align",
                  "alignment.assemble_prefix"):
         assert record.calls[name] == 1, (name, record.calls[name])
+    # one encode each for the instruction and the response
+    assert record.calls["tokenizer.Vocab.encode"] == 2
     # encoders.encode.unique_ratio counts these, read off encode's arguments
     fingerprint = MediaRef.from_path("video", "v").fingerprint
     assert record.media == {("video", fingerprint, 9)}

@@ -23,7 +23,7 @@ from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              fit, load_checkpoint, lr_at, response_nll,
                              save_checkpoint, total_optimizer_steps, train_step)
 from conftest import (bogus_decoder_key, drop_dataset_key, make_examples,
-                      rewrite_ckpt_config)
+                      rewrite_ckpt_config, to_format_4)
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
@@ -128,7 +128,7 @@ class TestGradAccumulation:
         attention probabilities (4 heads, each the blocked lower part of
         n x n, about 0.6 n²) dwarf the parameters."""
         dec_cfg = DecoderConfig(d_e=32, layers=1, heads=4, d_ff=64,
-                                vocab_size=260, max_seq_len=256)
+                                max_seq_len=256)
         params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
         examples = [dataclasses.replace(ex, response=((ex.response + " ") * 40)[:200])
                     for ex in make_examples(4)]
@@ -566,12 +566,12 @@ class TestCheckpoint:
         raw = p.read_bytes()
         assert raw[:4] == b"MCWC"
         version, n = struct.unpack_from("<II", raw, 4)
-        assert version == 4
+        assert version == 5
         head = json.loads(raw[12:12 + n])
         assert raw[12:12 + n] == json.dumps(
             head, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        assert set(head) == {"decoder", "train", "modality", "dataset", "vocab",
-                             "step", "adam_t", "shapes"}
+        assert set(head) == {"decoder", "train", "modality", "dataset", "step",
+                             "adam_t", "shapes"}
         assert head["shapes"] == [[name, list(ckpt.params[name].shape)]
                                   for name in names]
         size = sum(ckpt.params[name].data.size for name in names)
@@ -698,6 +698,13 @@ class TestCheckpoint:
         raw[4] = 99
         open(p, "wb").write(bytes(raw))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(p)
+
+    def test_format_4_rejected(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        p = str(tmp_path / "v4.ckpt")
+        save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
+        to_format_4(p)
+        with pytest.raises(VersionMismatch, match="version 4"):
             load_checkpoint(p)
 
 
