@@ -88,16 +88,19 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add g, summed down to t's shape, into t.grad."""
+def _accum(t: Tensor, g: np.ndarray, fresh=False):
+    """Add g, summed down to t's shape, into t.grad.
+
+    t.grad is later added into in place, so it takes g itself only when g
+    is `fresh`, an array a kernel made for t alone, or a sum made here;
+    otherwise a copy: add hands the same g to both parents, and transpose
+    and the slicing ops hand on views of it."""
     if not (t.requires_grad or t._parents):
         return
     if g.shape != t.data.shape:
-        g = _unbroadcast(g, t.data.shape)
+        g, fresh = _unbroadcast(g, t.data.shape), True
     if t.grad is None:
-        # a copy: add hands the same g to both parents, and transpose hands
-        # on a view of it
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -163,8 +166,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum(a, g * b.data, fresh=True)
+        _accum(b, g * a.data, fresh=True)
 
     return _node(out_data, (a, b), bwd)
 
@@ -182,8 +185,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch(f"stack extents differ: {a.shape} @ {b.shape}") from e
 
     def bwd(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        _accum(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _node(out_data, (a, b), bwd)
 
@@ -202,7 +205,7 @@ def sum_all(a) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        _accum(a, np.full_like(a.data, float(g)))
+        _accum(a, np.full_like(a.data, float(g)), fresh=True)
 
     return _node(a.data.sum(), (a,), bwd)
 
@@ -212,7 +215,7 @@ def mean_all(a) -> Tensor:
     n = a.data.size
 
     def bwd(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
+        _accum(a, np.full_like(a.data, float(g) / n), fresh=True)
 
     return _node(a.data.mean(), (a,), bwd)
 
@@ -226,7 +229,7 @@ def softmax_rows(m) -> Tensor:
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(m, y * (g - dot))
+        _accum(m, y * (g - dot), fresh=True)
 
     return _node(y, (m,), bwd)
 
@@ -240,7 +243,7 @@ def log_softmax_rows(m) -> Tensor:
     def bwd(g):
         dm = np.exp(out)
         dm *= g.sum(axis=-1, keepdims=True)
-        _accum(m, np.subtract(g, dm, out=dm))
+        _accum(m, np.subtract(g, dm, out=dm), fresh=True)
 
     return _node(out, (m,), bwd)
 
@@ -251,7 +254,7 @@ _BLOCK = 64
 _AHEAD = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
 
-def attention(q, k, v, heads=1, causal=False) -> Tensor:
+def attention(q, k, v, heads=1, causal=False, segments=None) -> Tensor:
     """softmax(QK^T / sqrt(d_head)) V for q: n×d, k: m×d, v: m×d_v, as one node.
 
     The columns split into `heads` equal groups that run as one batched
@@ -265,7 +268,12 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
     block. The node keeps each block's probabilities P and the split q, k
     and v. With G the output's gradient and s = 1/sqrt(d_head), the backward
     walks the same blocks: dP = G_blk V[:c]^T, dS = P * (dP - rowsum(dP * P)),
-    dQ_blk = s dS K[:c], dK[:c] += s dS^T Q_blk and dV[:c] += P^T G_blk."""
+    dQ_blk = s dS K[:c], dK[:c] += s dS^T Q_blk and dV[:c] += P^T G_blk.
+
+    `segments`, for a causal call of n queries over the same n keys, gives
+    the lengths of consecutive sequences packed into those rows. A query
+    then sees, causally, only the keys of its own segment [k0, k0 + length):
+    each segment runs as its own row blocks, which score keys [k0, c)."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), m = q.shape, k.shape[0]
     if d != k.shape[1]:
@@ -276,6 +284,9 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
         raise ShapeMismatch(f"widths {d}, {v.shape[1]} not divisible by {heads} heads")
     if causal and n > m:
         raise ShapeMismatch(f"causal attention of {n} queries over {m} keys")
+    if segments is not None and not (causal and n == m == sum(segments)):
+        raise ShapeMismatch(f"segments {list(segments)} need a causal call of "
+                            f"as many queries as keys, not {n} over {m}")
 
     def split(a):  # rows×(heads·w) -> heads×rows×w
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
@@ -286,22 +297,29 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
     # scale q, not the heads×n×m scores: one pass less over the largest array
     scale = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    # (r0, r1): query rows [r0, r1), which see keys [0, m - n + r1)
-    blocks = ([(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
-              if causal and n > _BLOCK else [(0, n)])
+    # (r0, r1, k0): query rows [r0, r1), which see keys [k0, m - n + r1);
+    # k0 is the first row of the segment, 0 without segments
+    blocks, k0 = [], 0
+    for length in segments or (n,):
+        if causal and length > _BLOCK:
+            blocks += [(r0, min(r0 + _BLOCK, k0 + length), k0)
+                       for r0 in range(k0, k0 + length, _BLOCK)]
+        else:
+            blocks.append((k0, k0 + length, k0))
+        k0 += length
     probs = []
     # rows-first in memory, like dq below, so that merge is a free reshape
     out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
-    for r0, r1 in blocks:
+    for r0, r1, k0 in blocks:
         c = m - n + r1
-        p = qh[:, r0:r1] @ kh[:, :c].transpose(0, 2, 1)
+        p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
         if causal:
             b = r1 - r0
-            np.copyto(p[:, :, c - b:], -np.inf, where=_AHEAD[:b, :b])
+            np.copyto(p[:, :, c - k0 - b:], -np.inf, where=_AHEAD[:b, :b])
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vh[:, :c], out=out[:, r0:r1])
+        np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
         if _grad_enabled:  # without a backward only the block in hand is needed
             probs.append(p)
         del p
@@ -309,26 +327,32 @@ def attention(q, k, v, heads=1, causal=False) -> Tensor:
     def bwd(g):
         gh = split(g)
         dq = np.empty_like(qh)
-        dk = dv = None
-        # the last block sees every key, so walking backwards its products
-        # are the full-size dK and dV that earlier blocks add into
-        for (r0, r1), p in zip(reversed(blocks), reversed(probs)):
+        dk = dv = seen = None
+        # walking backwards, the first block of each segment met is its last,
+        # which sees all of the segment's keys: its products fill dK and dV
+        # there, and the segment's earlier blocks add into them
+        for (r0, r1, k0), p in zip(reversed(blocks), reversed(probs)):
             c = m - n + r1
             gb = gh[:, r0:r1]
-            ds = gb @ vh[:, :c].transpose(0, 2, 1)
+            ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
-            np.matmul(ds, kh[:, :c], out=dq[:, r0:r1])
+            np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
             dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]
             dv_b = p.transpose(0, 2, 1) @ gb
-            if dk is None:
+            if k0 == seen:
+                dk[:, k0:c] += dk_b
+                dv[:, k0:c] += dv_b
+            elif c - k0 == m:  # one segment: the block sees every key
                 dk, dv = dk_b, dv_b
             else:
-                dk[:, :c] += dk_b
-                dv[:, :c] += dv_b
-        _accum(q, merge(dq) * scale)
-        _accum(k, merge(dk))
-        _accum(v, merge(dv))
+                if dk is None:
+                    dk, dv = np.empty_like(kh), np.empty_like(vh)
+                dk[:, k0:c], dv[:, k0:c] = dk_b, dv_b
+            seen = k0
+        _accum(q, merge(dq) * scale, fresh=True)
+        _accum(k, merge(dk), fresh=True)
+        _accum(v, merge(dv), fresh=True)
 
     return _node(merge(out), (q, k, v), bwd)
 
@@ -371,7 +395,7 @@ def gelu(a) -> Tensor:
         d *= 0.5
         d += e
         d *= g
-        _accum(a, d)
+        _accum(a, d, fresh=True)
 
     return _node(out, (a,), bwd)
 
@@ -406,9 +430,9 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
         dx -= m1
         dx -= np.multiply(xhat, m2, out=p)
         dx *= inv
-        _accum(x, dx)
-        _accum(gain, np.multiply(g, xhat, out=p).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        _accum(x, dx, fresh=True)
+        _accum(gain, np.multiply(g, xhat, out=p).sum(axis=lead), fresh=True)
+        _accum(bias, g.sum(axis=lead), fresh=True)
 
     return _node(out, (x, gain, bias), bwd)
 
@@ -444,9 +468,14 @@ def concat_cols(parts) -> Tensor:
     return _node(out_data, tuple(parts), bwd)
 
 
-def slice_rows(a, start, stop) -> Tensor:
-    a, index = _as_tensor(a), np.s_[start:stop]
+def take_rows(a, index) -> Tensor:
+    """a[index] for a slice or an array of distinct row numbers."""
+    a = _as_tensor(a)
     return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
+
+
+def slice_rows(a, start, stop) -> Tensor:
+    return take_rows(a, np.s_[start:stop])
 
 
 def slice_cols(a, start, stop) -> Tensor:
@@ -488,15 +517,15 @@ def conv1d(x, w, bias, stride=1) -> Tensor:
 
     def bwd(g):
         l_out = g.shape[0]
-        _accum(w, np.einsum("pck,po->kco", win[:l_out], g))
-        _accum(bias, g.sum(axis=0))
+        _accum(w, np.einsum("pck,po->kco", win[:l_out], g), fresh=True)
+        _accum(bias, g.sum(axis=0), fresh=True)
         if x.requires_grad or x._parents:
             dx = np.zeros_like(x.data)
             starts = np.arange(l_out) * stride
             for t in range(k):
                 # dx[p*stride+t, c] += sum_o w[t,c,o] g[p,o]
                 np.add.at(dx, starts + t, g @ w.data[t].T)
-            _accum(x, dx)
+            _accum(x, dx, fresh=True)
 
     return _node(out_data, (x, w, bias), bwd)
 

@@ -37,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_from(low: int):
+    """An argparse type: an int of at least `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="mmtune",
                 description="Multi-modal instruction tuning at desk scale.")
@@ -66,7 +77,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("train", help="fine-tune on an examples JSONL")
     common(sp, "config", "seed", "data", "out")
-    sp.add_argument("--max-steps", type=int, default=None)
+    sp.add_argument("--max-steps", type=_int_from(0), default=None)
     sp.add_argument("--resume", metavar="CKPT", default=None)
 
     sp = sub.add_parser("eval", help="response NLL and perplexity")
@@ -77,7 +88,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--instruction", required=True)
     sp.add_argument("--media", action="append", default=[],
                     metavar="KIND:PATH", help="repeatable; image:, video:, audio:")
-    sp.add_argument("--max-new", type=int, default=64)
+    sp.add_argument("--max-new", type=_int_from(1), default=64)
     return p
 
 
@@ -111,9 +122,13 @@ def _cmd_train(args) -> int:
         examples = ds.mix(by_source, n, cfg["data"]["seed"])
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
-    # a resumed run continues the log of the run it resumes
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log:
+    # a resumed run continues the log of the run it resumes; a fresh one
+    # empties it only once it has run a step or saved its checkpoint, so a
+    # run that fails before then leaves the log of the run already there
+    with open(log_path, "a", encoding="utf-8") as log:
         def log_fn(m):
+            if m["step"] == 0 and not args.resume:
+                log.truncate(0)
             log.write(json.dumps({"step": m["step"], "loss": m["loss"],
                                   "lr": m["lr"], "grad_norm": m["grad_norm"]},
                                  sort_keys=True) + "\n")
@@ -122,6 +137,8 @@ def _cmd_train(args) -> int:
                             objs["train"], out_dir=args.out,
                             resume_from=args.resume, max_steps=args.max_steps,
                             log_fn=log_fn)
+        if not (metrics or args.resume):
+            log.truncate(0)
     print(f"trained {ckpt.step} steps; final loss "
           f"{metrics[-1]['loss']:.6f}" if metrics else
           f"trained {ckpt.step} steps (no optimizer updates)")

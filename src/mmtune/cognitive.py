@@ -138,7 +138,8 @@ class KVCache:
 
 
 def _self_attention(x: Tensor, params: ModelParams, layer: int,
-                    cfg: DecoderConfig, cache: KVCache | None) -> Tensor:
+                    cfg: DecoderConfig, cache: KVCache | None,
+                    segments) -> Tensor:
     p = f"layers.{layer}.attn"
     q = ag.matmul(x, params[f"{p}.wq"])
     k = ag.matmul(x, params[f"{p}.wk"])
@@ -148,25 +149,39 @@ def _self_attention(x: Tensor, params: ModelParams, layer: int,
         cache.kv[layer, 0, t:n] = k.data
         cache.kv[layer, 1, t:n] = v.data
         k, v = Tensor(cache.kv[layer, 0, :n]), Tensor(cache.kv[layer, 1, :n])
-    return ag.matmul(ag.attention(q, k, v, cfg.heads, causal=True),
+    return ag.matmul(ag.attention(q, k, v, cfg.heads, causal=True,
+                                  segments=segments),
                      params[f"{p}.wo"])
 
 
 def forward(seq: InstructionSequence, params: ModelParams,
-            cfg: DecoderConfig, cache: KVCache | None = None) -> Tensor:
+            cfg: DecoderConfig, cache: KVCache | None = None,
+            segments=None, rows=None) -> Tensor:
     """Causal decoder over the assembled sequence; returns S×V logits.
 
     With a `cache` of the first cache.t positions, `seq` holds only the rows
-    after them, and their keys and values join the cache."""
-    t = cache.t if cache is not None else 0
-    n = t + seq.length
-    if n > cfg.max_seq_len:
-        raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
-    x = ag.add(seq.embedded, ag.slice_rows(params["pos"], t, n))
+    after them, and their keys and values join the cache. Without a cache,
+    `segments` gives the lengths of sequences packed one after another into
+    `seq`: each attends only to itself, with positions from 0, so its rows
+    come out as if it ran alone. `rows`, a slice or an array of distinct row
+    numbers, limits the final norm and the logits to those rows."""
+    if segments is None:
+        t = cache.t if cache is not None else 0
+        n = t + seq.length
+        if n > cfg.max_seq_len:
+            raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
+        pos = ag.slice_rows(params["pos"], t, n)
+    else:
+        if max(segments) > cfg.max_seq_len:
+            raise SequenceTooLong(f"sequence length {max(segments)} > max "
+                                  f"{cfg.max_seq_len}")
+        pos = ag.embedding(params["pos"],
+                           np.concatenate([np.arange(s) for s in segments]))
+    x = ag.add(seq.embedded, pos)
     for i in range(cfg.layers):
         p = f"layers.{i}"
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = ag.add(x, _self_attention(h, params, i, cfg, cache))
+        x = ag.add(x, _self_attention(h, params, i, cfg, cache, segments))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.matmul(ag.gelu(ag.add(ag.matmul(h, params[f"{p}.ffn.w1"]),
                                      params[f"{p}.ffn.b1"])),
@@ -174,6 +189,8 @@ def forward(seq: InstructionSequence, params: ModelParams,
         x = ag.add(x, ag.add(h, params[f"{p}.ffn.b2"]))
     if cache is not None:
         cache.t = n
+    if rows is not None:
+        x = ag.take_rows(x, rows)
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])
     return ag.matmul(x, ag.transpose(params.embedding))
 

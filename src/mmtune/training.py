@@ -101,19 +101,89 @@ def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
                            response_ids=resp_ids)
 
 
+def _response_spans(seq: InstructionSequence) -> list:
+    spans = [(a, b) for tag, a, b in seq.spans if tag == "response-text"]
+    if not spans:
+        raise NoResponseSpan("sequence has no response span")
+    return spans
+
+
+def response_rows(seq: InstructionSequence):
+    """The rows whose logits predict the response targets, p - 1 for each
+    response position p: a slice for one response span, an index array for
+    the several of a pack."""
+    spans = _response_spans(seq)
+    if len(spans) == 1:
+        (a, b), = spans
+        return np.s_[a - 1:b - 1]
+    return np.concatenate([np.arange(a - 1, b - 1) for a, b in spans])
+
+
 def response_nll(logits: Tensor, seq: InstructionSequence,
                  reduction: str = "mean") -> Tensor:
     """NLL over response-span targets only; every other position is masked
-    out by construction. Target at position p is predicted from logits[p-1]."""
-    span = seq.span("response-text")
-    if span is None:
-        raise NoResponseSpan("sequence has no response span")
-    a, b = span
-    targets = seq.ids[a:b]
-    lsm = ag.log_softmax_rows(ag.slice_rows(logits, a - 1, b - 1))
-    picked = ag.pick(lsm, np.arange(b - a), targets)
-    agg = ag.mean_all(picked) if reduction == "mean" else ag.sum_all(picked)
-    return ag.mul(agg, -1.0)
+    out by construction. Target at position p is predicted from logits[p-1].
+
+    `logits` has a row per position of `seq`, or only the response_rows(seq),
+    as forward(..., rows=response_rows(seq)) returns them; there are always
+    fewer of those, since every sequence has instruction rows. A packed
+    `seq` gives the sum, over its examples' response spans, of each span's
+    NLL: the mean or the sum over its targets."""
+    spans = _response_spans(seq)
+    if logits.shape[0] == seq.length:
+        logits = ag.take_rows(logits, response_rows(seq))
+    counts = [b - a for a, b in spans]
+    targets = np.concatenate([seq.ids[a:b] for a, b in spans])
+    picked = ag.pick(ag.log_softmax_rows(logits), np.arange(targets.size),
+                     targets)
+    weights = np.repeat([-1.0 / c if reduction == "mean" else -1.0
+                         for c in counts], counts)
+    return ag.sum_all(ag.mul(picked, weights))
+
+
+def _sequence_length(example, mod_cfg: ModalityConfig, vocab: Vocab) -> int:
+    """Rows of the example's sequence: l_prime soft tokens per kind, then the
+    framed text."""
+    instr, resp = frame_text_ids(vocab, example.instruction, example.response)
+    return (mod_cfg.l_prime * len({m["kind"] for m in example.media})
+            + len(instr) + len(resp))
+
+
+def _packs(examples, limit: int, mod_cfg: ModalityConfig, vocab: Vocab):
+    """Yield `examples`, in order, as packs whose sequences total at most
+    `limit` rows; an example longer than that is a pack alone."""
+    pack, rows = [], 0
+    for ex in examples:
+        n = _sequence_length(ex, mod_cfg, vocab)
+        if pack and rows + n > limit:
+            yield pack
+            pack, rows = [], 0
+        pack.append(ex)
+        rows += n
+    if pack:
+        yield pack
+
+
+def _run_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
+              mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None):
+    """Build the pack's sequences and run them through one forward, each
+    attending only to itself. Returns (the packed sequence, the logits of
+    its response_rows); a pack of one is that example's own sequence."""
+    seqs = [build_sequence(ex, params, dec_cfg, mod_cfg, vocab, train_cfg)
+            for ex in pack]
+    segments = None
+    seq = seqs[0]
+    if len(seqs) > 1:
+        spans, offset = [], 0
+        for s in seqs:
+            spans += [(tag, a + offset, b + offset) for tag, a, b in s.spans]
+            offset += s.length
+        seq = InstructionSequence(
+            embedded=ag.concat_rows([s.embedded for s in seqs]), spans=spans,
+            ids=np.concatenate([s.ids for s in seqs]))
+        segments = [s.length for s in seqs]
+    return seq, forward(seq, params, dec_cfg, segments=segments,
+                        rows=response_rows(seq))
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -173,18 +243,21 @@ def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
     """Accumulate gradients of the mean loss over `examples`, computed in
     micro-batch chunks. Returns (loss value, grads dict).
 
-    Each example runs its own backward, so at most one example's tape is
-    alive at a time whatever the micro-batch size."""
+    Each micro-batch runs in packs of consecutive examples whose rows total
+    at most min(cfg.max_seq_len, dec_cfg.max_seq_len): a pack shares one
+    forward, in which each example attends only to itself, and one
+    backward. So at most one pack's tape is alive at a time, and it is no
+    larger than one max-length example's, whatever the micro-batch size."""
     n_total = len(examples)
+    limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
     grads = {name: np.zeros_like(params[name].data) for name in params.names()}
     total_loss = 0.0
     for micro in micro_batches:
         params.zero_grad()
-        for ex in micro:
-            seq = build_sequence(ex, params, dec_cfg, mod_cfg, vocab, cfg)
-            logits = forward(seq, params, dec_cfg)
+        for pack in _packs(micro, limit, mod_cfg, vocab):
+            seq, logits = _run_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
             # normalized by the full batch size, so grads accumulated over
-            # examples and micros equal the single-batch mean gradient
+            # packs and micros equal the single-batch mean gradient
             loss = ag.mul(response_nll(logits, seq, reduction=cfg.loss_reduction),
                           1.0 / n_total)
             loss.backward()
@@ -258,10 +331,8 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     if not dataset:
         raise EmptyDataset("cannot fit on an empty dataset")
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
-    for ex in dataset:  # l_prime soft tokens per kind, then the framed text
-        instr, resp = frame_text_ids(vocab, ex.instruction, ex.response)
-        length = (mod_cfg.l_prime * len({m["kind"] for m in ex.media})
-                  + len(instr) + len(resp))
+    for ex in dataset:
+        length = _sequence_length(ex, mod_cfg, vocab)
         if length > limit:
             raise SequenceTooLong(f"example {ex.id!r}: sequence length "
                                   f"{length} > max_seq_len {limit}")
@@ -320,18 +391,19 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
 
 
 def evaluate(dataset, ckpt: Checkpoint) -> dict:
-    """Mean response NLL and perplexity over a dataset."""
+    """Mean response NLL and perplexity over a dataset, run in packs as
+    training runs them."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    nlls = []
+    limit = min(ckpt.train_cfg.max_seq_len, ckpt.dec_cfg.max_seq_len)
+    total = 0.0
     with ag.no_grad():
-        for ex in dataset:
-            seq = build_sequence(ex, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg,
-                                 ckpt.vocab)
-            logits = forward(seq, ckpt.params, ckpt.dec_cfg)
-            nlls.append(float(response_nll(logits, seq).data))
-    mean_nll = float(np.mean(nlls))
+        for pack in _packs(dataset, limit, ckpt.mod_cfg, ckpt.vocab):
+            seq, logits = _run_pack(pack, ckpt.params, ckpt.dec_cfg,
+                                    ckpt.mod_cfg, ckpt.vocab)
+            total += float(response_nll(logits, seq).data)
+    mean_nll = total / len(dataset)
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}
 

@@ -32,11 +32,21 @@ def attention_oracle(q, k, v, heads=1, causal=False):
     return np.concatenate(outs, axis=1)
 
 
-def composed_attention(q, k, v, heads=1, causal=False):
+def segment_mask(segments):
+    """Additive mask for packed sequences of these lengths: each row sees,
+    causally, only the keys of its own sequence."""
+    seg = np.repeat(np.arange(len(segments)), segments)
+    ahead = np.triu(np.ones((seg.size, seg.size), dtype=bool), 1)
+    return np.where((seg[:, None] != seg[None, :]) | ahead, -1e9, 0.0)
+
+
+def composed_attention(q, k, v, heads=1, causal=False, segments=None):
     """Attention composed from elementary autograd ops, one head at a time:
     the gradient oracle for the single attention node. Products with 0/1
     selector matrices pick each head's columns and put its output back."""
-    mask = Tensor(causal_mask(q.shape[0], k.shape[0])) if causal else None
+    mask = (Tensor(segment_mask(segments) if segments is not None
+                   else causal_mask(q.shape[0], k.shape[0]))
+            if causal else None)
 
     def selector(width, h):  # width×(width/heads), the h-th column group
         w = width // heads
@@ -121,6 +131,50 @@ class TestAttention:
         # at and just past one block, several blocks, and a prefill after a
         # cache with a partial last block
         self.check_against_composed(heads, True, n, m)
+
+    @pytest.mark.parametrize("segments", [(5, 9, 1), (33, 33, 33), (70, 3),
+                                          (2, 130, 64)])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_segments_match_separate_calls(self, heads, segments):
+        # a pack of sequences in one call equals each sequence in its own,
+        # forward and backward; segments of over ag._BLOCK rows run in
+        # several row blocks of their own
+        rng = np.random.default_rng(16)
+        n = sum(segments)
+        data = {"q": rng.normal(size=(n, 8)), "k": rng.normal(size=(n, 8)),
+                "v": rng.normal(size=(n, 12))}
+        upstream = Tensor(rng.normal(size=(n, 12)))
+        p = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+        out = attention(p["q"], p["k"], p["v"], heads, causal=True,
+                        segments=segments)
+        ag.sum_all(ag.mul(out, upstream)).backward()
+        bounds = np.cumsum((0,) + segments)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            s = {name: Tensor(x[a:b], requires_grad=True)
+                 for name, x in data.items()}
+            want = attention(s["q"], s["k"], s["v"], heads, causal=True)
+            ag.sum_all(ag.mul(want, Tensor(upstream.data[a:b]))).backward()
+            np.testing.assert_allclose(out.data[a:b], want.data, rtol=0,
+                                       atol=1e-12)
+            for name in "qkv":
+                np.testing.assert_allclose(p[name].grad[a:b], s[name].grad,
+                                           rtol=0, atol=1e-12)
+
+    def test_segments_match_composed_ops(self):
+        rng = np.random.default_rng(17)
+        q, k, v = (Tensor(rng.normal(size=(9, 4))) for _ in range(3))
+        got = attention(q, k, v, 2, causal=True, segments=[4, 5]).data
+        want = composed_attention(q, k, v, 2, causal=True, segments=[4, 5]).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,causal,segments", [
+        (6, 6, False, [3, 3]), (4, 6, True, [2, 2]), (6, 6, True, [3, 2])],
+        ids=["not-causal", "after-a-cache", "short-sum"])
+    def test_segments_need_a_causal_call_over_its_own_rows(self, n, m, causal,
+                                                           segments):
+        with pytest.raises(ShapeMismatch):
+            attention(Tensor(np.ones((n, 4))), Tensor(np.ones((m, 4))),
+                      Tensor(np.ones((m, 4))), causal=causal, segments=segments)
 
     @staticmethod
     def causal_finite_diff(n, m):

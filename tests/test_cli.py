@@ -218,6 +218,42 @@ class TestTrainEvalGenerate:
         assert len(first) == 1 and len(lines) == 2
         assert lines[0] == first[0] and json.loads(lines[1])["step"] == 1
 
+    def test_failed_train_keeps_previous_log(self, trained, tmp_path):
+        # the second run fails at its first step, on a feature file that
+        # holds audio features for an image item
+        out = tmp_path / "run"
+        assert dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(out),
+                         "--max-steps", "3"]) == 0
+        feats = tmp_path / "f.mcwf"
+        save_features(str(feats), "audio", np.zeros((6, 5)))
+        rec = {"id": "f", "source": "s", "instruction": "what", "response": "x",
+               "media": [{"kind": "image", "path": str(feats)}]}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(rec) + "\n")
+        assert dispatch(["train", "--config", trained["cfg"], "--data",
+                         str(bad), "--out", str(out)]) == 3
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
+
+    def test_zero_steps_leave_an_empty_log(self, trained, tmp_path):
+        out = tmp_path / "run"
+        base = ["train", "--config", trained["cfg"], "--data", trained["data"],
+                "--out", str(out)]
+        assert dispatch(base + ["--max-steps", "2"]) == 0
+        assert dispatch(base + ["--max-steps", "0"]) == 0
+        assert (out / "metrics.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("value", ["-2", "x"])
+    def test_max_steps_below_0_is_a_usage_error(self, trained, tmp_path,
+                                                capsys, value):
+        out = tmp_path / "run"
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(out),
+                         "--max-steps", value])
+        assert code == 1
+        assert "argument --max-steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_with_other_config_exits_2(self, trained, tmp_path, capsys):
         code = dispatch(["train", "--config", trained["cfg"], "--data",
                          trained["data"], "--out", str(tmp_path), "--seed", "6",
@@ -358,6 +394,16 @@ class TestTrainEvalGenerate:
                          "--instruction", "hi", "--media", "bogus:x"])
         assert code == 3
         assert "kind 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_max_new_below_1_is_a_usage_error(self, trained, capsys, value):
+        code = dispatch(["generate", "--checkpoint",
+                         str(trained["out"] / "final.ckpt"),
+                         "--instruction", "hi", "--max-new", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "argument --max-new: must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_generate_deterministic(self, trained, capsys):
         argv = ["generate", "--checkpoint", str(trained["out"] / "final.ckpt"),

@@ -97,6 +97,69 @@ class TestForward:
             np.testing.assert_allclose(grads[name], want_grads[name], rtol=0,
                                        atol=1e-10, err_msg=name)
 
+    @staticmethod
+    def packed(id_lists, params):
+        seqs = [text_sequence(ids, params) for ids in id_lists]
+        return InstructionSequence(
+            embedded=ag.concat_rows([s.embedded for s in seqs])), seqs
+
+    def test_segments_match_separate_forwards(self, tiny_params, tiny_dec_cfg):
+        # positions restart in each segment, and the 70-row one runs its
+        # attention in two row blocks
+        rng = np.random.default_rng(3)
+        lengths = [5, 70, 9]
+        packed, seqs = self.packed(
+            [rng.integers(4, 260, size=n).tolist() for n in lengths], tiny_params)
+        got = forward(packed, tiny_params, tiny_dec_cfg, segments=lengths).data
+        start = 0
+        for seq in seqs:
+            want = forward(seq, tiny_params, tiny_dec_cfg).data
+            np.testing.assert_allclose(got[start:start + seq.length], want,
+                                       rtol=0, atol=1e-12)
+            start += seq.length
+
+    def test_changing_one_segment_leaves_the_others_bitwise(self, tiny_params,
+                                                           tiny_dec_cfg):
+        rng = np.random.default_rng(4)
+        lengths = [7, 12, 5]
+        ids = [rng.integers(4, 260, size=n).tolist() for n in lengths]
+        bounds = np.cumsum([0] + lengths)
+
+        def logits(id_lists):
+            return forward(self.packed(id_lists, tiny_params)[0], tiny_params,
+                           tiny_dec_cfg, segments=lengths).data
+
+        base = logits(ids)
+        for j, n in enumerate(lengths):
+            other = list(ids)
+            other[j] = rng.integers(4, 260, size=n).tolist()
+            changed = logits(other)
+            for i in range(len(lengths)):
+                rows = slice(bounds[i], bounds[i + 1])
+                same = np.array_equal(changed[rows], base[rows])
+                assert same == (i != j), (i, j)
+
+    def test_sequence_too_long_checks_each_segment(self, tiny_params,
+                                                   tiny_dec_cfg):
+        limit = tiny_dec_cfg.max_seq_len
+        packed, _ = self.packed([[4] * 60, [5] * 60], tiny_params)
+        assert forward(packed, tiny_params, tiny_dec_cfg,
+                       segments=[60, 60]).shape == (120, 260)
+        packed, _ = self.packed([[4] * 3, [5] * (limit + 1)], tiny_params)
+        with pytest.raises(SequenceTooLong):
+            forward(packed, tiny_params, tiny_dec_cfg, segments=[3, limit + 1])
+
+    @pytest.mark.parametrize("rows", [np.s_[3:9], np.array([0, 4, 5, 11])],
+                             ids=["slice", "index"])
+    @pytest.mark.parametrize("segments", [None, [5, 7]], ids=["one", "packed"])
+    def test_rows_equal_full_logits_at_rows(self, tiny_params, tiny_dec_cfg,
+                                            rows, segments):
+        seq = text_sequence(range(20, 32), tiny_params)
+        full = forward(seq, tiny_params, tiny_dec_cfg, segments=segments).data
+        got = forward(seq, tiny_params, tiny_dec_cfg, segments=segments,
+                      rows=rows).data
+        np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
+
     def test_soft_token_equals_embedded_token(self, tiny_params, tiny_dec_cfg):
         # a soft token identical to an embedding row produces identical logits
         ids = [7, 42, 99]

@@ -32,6 +32,18 @@ def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
                            response_ids=list(resp_ids))
 
 
+def record_forward_lengths(monkeypatch):
+    """The row count of every sequence training.forward is called on."""
+    lengths = []
+
+    def recording(seq, *args, **kwargs):
+        lengths.append(seq.length)
+        return forward(seq, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", recording)
+    return lengths
+
+
 class TestResponseNLL:
     def test_uniform_logits(self, tiny_params):
         seq = seq_with_response(tiny_params)
@@ -121,6 +133,62 @@ class TestGradAccumulation:
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_packs_match_one_example_per_backward(self, tiny_dec_cfg,
+                                                  tiny_mod_cfg, vocab,
+                                                  tiny_params, monkeypatch,
+                                                  reduction):
+        examples = make_examples(12)
+        cfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96,
+                          loss_reduction=reduction)
+        lengths = record_forward_lengths(monkeypatch)
+        loss, grads = _batch_loss_and_grads(
+            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+            [examples[i:i + 4] for i in range(0, 12, 4)])
+        assert len(lengths) == 6 and max(lengths) <= 96, lengths
+        # the reference: full logits, one example per forward and backward
+        tiny_params.zero_grad()
+        want_loss = 0.0
+        for ex in examples:
+            seq = build_sequence(ex, tiny_params, tiny_dec_cfg, tiny_mod_cfg,
+                                 vocab, cfg)
+            nll = response_nll(forward(seq, tiny_params, tiny_dec_cfg), seq,
+                               reduction=reduction)
+            one = ag.mul(nll, 1.0 / len(examples))
+            one.backward()
+            want_loss += float(one.data)
+        assert loss == pytest.approx(want_loss, abs=1e-10)
+        for name, g in grads.items():
+            want = tiny_params[name].grad
+            np.testing.assert_allclose(g, 0.0 if want is None else want,
+                                       rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("limit", [20, 39, 60, 99, 128, 200])
+    def test_no_pack_exceeds_the_limit(self, tiny_mod_cfg, vocab, limit):
+        # 38-41 rows each; an example longer than the limit runs alone
+        examples = [dataclasses.replace(ex, instruction=ex.instruction * 2)
+                    for ex in make_examples(9)]
+        lengths = {ex.id: training._sequence_length(ex, tiny_mod_cfg, vocab)
+                   for ex in examples}
+        packs = list(training._packs(examples, limit, tiny_mod_cfg, vocab))
+        assert [ex for pack in packs for ex in pack] == examples
+        totals = [sum(lengths[ex.id] for ex in pack) for pack in packs]
+        for pack, total in zip(packs, totals):
+            assert total <= limit or len(pack) == 1
+        # greedy: each pack is closed by an example that would not fit
+        for total, nxt in zip(totals, packs[1:]):
+            assert total + lengths[nxt[0].id] > limit
+
+    def test_short_micro_batch_packs_3_and_1(self, tiny_mod_cfg, vocab):
+        # the benchmark's short workload: 33-row examples, a limit of 128
+        examples = [dataclasses.replace(ex, instruction="i" * 16,
+                                        response="r" * 12)
+                    for ex in make_examples(4)]
+        assert {training._sequence_length(ex, tiny_mod_cfg, vocab)
+                for ex in examples} == {33}
+        packs = training._packs(examples, 128, tiny_mod_cfg, vocab)
+        assert [len(p) for p in packs] == [3, 1]
 
     @staticmethod
     def tape_bound_setup(mod_cfg):
@@ -516,6 +584,26 @@ class TestFit:
         rep = evaluate([ex], ckpt)
         assert [t._parents for t in seen] == [()]
         assert rep["mean_response_nll"] == want
+
+    def test_packed_evaluate_matches_one_at_a_time(self, tiny_dec_cfg,
+                                                   tiny_mod_cfg, vocab,
+                                                   monkeypatch):
+        ckpt, _ = fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab,
+                      self.small_cfg(epochs=1))
+        examples = make_examples(10)
+        nlls = []
+        for ex in examples:
+            seq = build_sequence(ex, ckpt.params, tiny_dec_cfg, tiny_mod_cfg,
+                                 vocab)
+            logits = forward(seq, ckpt.params, tiny_dec_cfg)
+            nlls.append(float(response_nll(logits, seq).data))
+        lengths = record_forward_lengths(monkeypatch)
+        rep = evaluate(examples, ckpt)
+        assert len(lengths) < len(examples)
+        assert max(lengths) <= min(ckpt.train_cfg.max_seq_len,
+                                   tiny_dec_cfg.max_seq_len)
+        assert rep["mean_response_nll"] == pytest.approx(np.mean(nlls),
+                                                          rel=0, abs=1e-12)
 
     def test_evaluate_report(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         cfg = self.small_cfg(epochs=1)
