@@ -52,7 +52,7 @@ def transform(features: np.ndarray, w: dict, l_prime: int) -> Tensor:
             f"kernel {w['conv_w'].shape[0]} was built for a different input "
             f"length (need {kernel} for L={length}, L'={l_prime})")
     h = ag.conv1d(Tensor(features), w["conv_w"], w["conv_b"], stride=stride)
-    return ag.add(ag.matmul(h, w["lin_w"]), w["lin_b"])
+    return ag.matmul(h, w["lin_w"], w["lin_b"])
 
 
 def align(h_prime: Tensor, embed_matrix: Tensor, freeze_embedding: bool = False,

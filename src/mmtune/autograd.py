@@ -2,8 +2,9 @@
 
 Everything is numpy under the hood; the Tensor class just records enough
 provenance to run a backward pass, and the backward pass consumes it.
-Single threaded. Default dtype is float64 so gradients can be checked
-against central finite differences.
+Single threaded. Every array is float64, so gradients can be checked
+against central finite differences. Products are of matrices, and operands
+broadcast only against constants.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None,
-                 dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = tuple(parents)
@@ -33,10 +33,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         return float(self.data)
@@ -89,16 +85,18 @@ def _as_tensor(x):
 
 
 def _accum(t: Tensor, g: np.ndarray, fresh=False):
-    """Add g, summed down to t's shape, into t.grad.
+    """Add g into t.grad; g must have t's shape.
 
-    t.grad is later added into in place, so it takes g itself only when g
-    is `fresh`, an array a kernel made for t alone, or a sum made here;
-    otherwise a copy: add hands the same g to both parents, and transpose
-    and the slicing ops hand on views of it."""
+    Operands broadcast only against constants, which take no gradient, so a
+    gradient of another shape is an error. t.grad is later added into in
+    place, so it takes g itself only when g is `fresh`, an array a kernel
+    made for t alone; otherwise a copy: add hands the same g to both
+    parents, and transpose and the slicing ops hand on views of it."""
     if not (t.requires_grad or t._parents):
         return
     if g.shape != t.data.shape:
-        g, fresh = _unbroadcast(g, t.data.shape), True
+        raise ShapeMismatch(f"gradient {g.shape} for a tensor of shape {t.shape}; "
+                            "only constants may be broadcast")
     if t.grad is None:
         t.grad = g if fresh else g.copy()
     else:
@@ -117,16 +115,6 @@ def _scatter(t: Tensor, index, g: np.ndarray, repeats=False):
         np.add.at(t.grad, index, g)
     else:
         t.grad[index] += g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum g down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
 
 
 _grad_enabled = True
@@ -172,33 +160,32 @@ def mul(a, b) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product, batched over leading dimensions that broadcast."""
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b for an n×k `a` and a k×m `b`, plus the length-m `bias` row, if
+    given, added in place to every row: one node for a linear layer."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatch(f"matmul needs 2-D or stacked operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeMismatch(f"inner extents differ: {a.shape} @ {b.shape}")
-    try:
-        out_data = a.data @ b.data
-    except ValueError as e:
-        raise ShapeMismatch(f"stack extents differ: {a.shape} @ {b.shape}") from e
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul needs n×k @ k×m, got {a.shape} @ {b.shape}")
+    out_data = a.data @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeMismatch(f"bias {bias.shape} for {b.shape[1]} columns")
+        out_data += bias.data
 
     def bwd(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
+        _accum(a, g @ b.data.T, fresh=True)
+        _accum(b, a.data.T @ g, fresh=True)
+        if bias is not None:
+            _accum(bias, g.sum(axis=0), fresh=True)
 
-    return _node(out_data, (a, b), bwd)
+    return _node(out_data, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def transpose(a) -> Tensor:
-    """Swap the last two axes."""
+    """The transpose of a matrix."""
     a = _as_tensor(a)
-
-    def bwd(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _node(np.swapaxes(a.data, -1, -2), (a,), bwd)
+    return _node(a.data.T, (a,), lambda g: _accum(a, g.T))
 
 
 def sum_all(a) -> Tensor:
@@ -208,16 +195,6 @@ def sum_all(a) -> Tensor:
         _accum(a, np.full_like(a.data, float(g)), fresh=True)
 
     return _node(a.data.sum(), (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-
-    def bwd(g):
-        _accum(a, np.full_like(a.data, float(g) / n), fresh=True)
-
-    return _node(a.data.mean(), (a,), bwd)
 
 
 def softmax_rows(m) -> Tensor:
@@ -419,7 +396,6 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
     out += bias.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dx = g * gain.data
         p = dx * xhat
@@ -431,8 +407,8 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
         dx -= np.multiply(xhat, m2, out=p)
         dx *= inv
         _accum(x, dx, fresh=True)
-        _accum(gain, np.multiply(g, xhat, out=p).sum(axis=lead), fresh=True)
-        _accum(bias, g.sum(axis=lead), fresh=True)
+        _accum(gain, np.multiply(g, xhat, out=p).sum(axis=0), fresh=True)
+        _accum(bias, g.sum(axis=0), fresh=True)
 
     return _node(out, (x, gain, bias), bwd)
 
@@ -500,9 +476,12 @@ def conv1d(x, w, bias, stride=1) -> Tensor:
     """Valid (unpadded) 1-D convolution.
 
     x: L×d_in, w: k×d_in×d_out, bias: d_out. Output length
-    floor((L-k)/stride)+1.
+    floor((L-k)/stride)+1. The input is a constant, the features of a frozen
+    encoder: only the kernel and the bias take gradients.
     """
     x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
+    if x.requires_grad or x._parents:
+        raise ValueError("conv1d takes no gradient for its input")
     L, d_in = x.data.shape
     k, wc_in, d_out = w.data.shape
     if wc_in != d_in:
@@ -516,18 +495,10 @@ def conv1d(x, w, bias, stride=1) -> Tensor:
     out_data = np.einsum("pck,kco->po", win, w.data) + bias.data
 
     def bwd(g):
-        l_out = g.shape[0]
-        _accum(w, np.einsum("pck,po->kco", win[:l_out], g), fresh=True)
+        _accum(w, np.einsum("pck,po->kco", win, g), fresh=True)
         _accum(bias, g.sum(axis=0), fresh=True)
-        if x.requires_grad or x._parents:
-            dx = np.zeros_like(x.data)
-            starts = np.arange(l_out) * stride
-            for t in range(k):
-                # dx[p*stride+t, c] += sum_o w[t,c,o] g[p,o]
-                np.add.at(dx, starts + t, g @ w.data[t].T)
-            _accum(x, dx, fresh=True)
 
-    return _node(out_data, (x, w, bias), bwd)
+    return _node(out_data, (w, bias), bwd)
 
 
 @dataclass

@@ -183,10 +183,8 @@ def forward(seq: InstructionSequence, params: ModelParams,
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         x = ag.add(x, _self_attention(h, params, i, cfg, cache, segments))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        h = ag.matmul(ag.gelu(ag.add(ag.matmul(h, params[f"{p}.ffn.w1"]),
-                                     params[f"{p}.ffn.b1"])),
-                      params[f"{p}.ffn.w2"])
-        x = ag.add(x, ag.add(h, params[f"{p}.ffn.b2"]))
+        h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
+        x = ag.add(x, ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
     if cache is not None:
         cache.t = n
     if rows is not None:

@@ -290,6 +290,13 @@ class TestTransform:
             feats = rng.normal(size=(L, 4))
             assert transform(feats, w, l_prime).shape == (l_prime, 6)
 
+    def test_kernel_built_for_another_length(self):
+        # 16 rows to 4 need kernel 4; this one was built for 18 rows (kernel 6)
+        rng = np.random.default_rng(11)
+        w = init_transform(18, 4, 6, 4, rng)
+        with pytest.raises(ShapeMismatch, match="different input length"):
+            transform(rng.normal(size=(16, 4)), w, 4)
+
 
 class TestAlign:
     def test_single_embedding_row(self):
@@ -328,18 +335,23 @@ class TestAlign:
 
         def fn(p):
             proj = {n: p[n] for n in names} or None
-            return ag.mean_all(align(p["h"], p["E"], proj=proj, heads=heads))
+            return ag.sum_all(align(p["h"], p["E"], proj=proj, heads=heads))
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]
         fn(params).backward()
         assert np.abs(params["E"].grad).max() > 0
 
+    def test_width_other_than_the_embeddings(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ShapeMismatch, match="soft-token width 5"):
+            align(Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(6, 4))))
+
     def test_freeze_embedding_blocks_gradient(self):
         rng = np.random.default_rng(10)
         e = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        ag.mean_all(align(h, e, freeze_embedding=True)).backward()
+        ag.sum_all(align(h, e, freeze_embedding=True)).backward()
         assert e.grad is None
         assert h.grad is not None
 

@@ -1,13 +1,17 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from mmtune import cli
+from mmtune import dataset as ds
 from mmtune.cli import dispatch
 from mmtune.config import default_config, load_config, validate_config
 from mmtune.encoders import save_features
 from mmtune.errors import ConfigError
+from mmtune.training import _dataset_hash, load_checkpoint
 from conftest import (bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config,
                       to_format_4)
 
@@ -168,6 +172,22 @@ class TestDatasetCommands:
         assert code == 3
         assert err.startswith(f"data error: {feats}: ") and match in err
 
+    def test_build_reports_an_unparseable_completion(self, tmp_path, capsys):
+        captions = os.path.join(DATA, "captions.jsonl")
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(os.path.join(DATA, "fixtures"), fixtures)
+        caption = ds.read_captions(captions)[1]
+        key = ds.prompt_key(ds.build_prompt(caption))
+        # prose with no Q:/A: pair in place of the caption's completion
+        (fixtures / f"{key}.txt").write_text("A tennis player, seen mid-swing.")
+        code = dispatch(["dataset-build", "--data", captions, "--out",
+                         str(tmp_path / "built.jsonl"), "--fixtures",
+                         str(fixtures)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "(1 captions skipped)" in captured.out
+        assert captured.err == f"skipped {caption.id}: no Q/A pairs parsed\n"
+
     def test_build_blank_caption_exits_3(self, tmp_path, capsys):
         lines = open(os.path.join(DATA, "captions.jsonl"),
                      encoding="utf-8").read().splitlines()
@@ -253,6 +273,51 @@ class TestTrainEvalGenerate:
         assert code == 1
         assert "argument --max-steps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_example_over_max_seq_len_exits_4(self, trained, tmp_path, capsys):
+        # the tiny model's max_seq_len is 128; this response alone is longer
+        rec = {"id": "long", "source": "s", "instruction": "say it all",
+               "response": "a very long answer " * 10,
+               "media": [{"kind": "image", "path": "p.jpg"}]}
+        data = tmp_path / "long.jsonl"
+        data.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "run"
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         str(data), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("error: ") and "128" in captured.err
+        assert captured.out == ""
+        assert (out / "metrics.jsonl").read_text() == ""
+        assert not list(out.glob("*.ckpt"))
+
+    def test_n_per_source_trains_on_n_examples_per_source(self, trained,
+                                                          tmp_path, capsys):
+        # the build holds 30 COCO, 10 Charades and 10 AVSD examples
+        cfg = write_cfg(tmp_path, data={"mix": {"n_per_source": 2}},
+                        train={"epochs": 1, "micro_batch": 2, "grad_accum": 1,
+                               "max_seq_len": 128})
+        out = tmp_path / "run"
+        assert dispatch(["train", "--config", cfg, "--data", trained["data"],
+                         "--out", str(out), "--seed", "3"]) == 0
+        assert "trained 3 steps" in capsys.readouterr().out
+        by_source: dict = {}
+        for ex in ds.read_examples(trained["data"]):
+            by_source.setdefault(ex.source, []).append(ex)
+        mixed = ds.mix(by_source, 2, 3)
+        assert sorted(ex.source for ex in mixed) == ["AVSD"] * 2 + [
+            "COCO"] * 2 + ["Charades"] * 2
+        ckpt = load_checkpoint(str(out / "final.ckpt"))
+        assert ckpt.dataset_hash == _dataset_hash(mixed)
+
+    def test_source_smaller_than_n_exits_3(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, data={"mix": {"n_per_source": 11}})
+        out = tmp_path / "run"
+        code = dispatch(["train", "--config", cfg, "--data", trained["data"],
+                         "--out", str(out)])
+        assert code == 3
+        assert "has 10 < 11 examples" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
     def test_resume_with_other_config_exits_2(self, trained, tmp_path, capsys):
         code = dispatch(["train", "--config", trained["cfg"], "--data",
@@ -394,6 +459,32 @@ class TestTrainEvalGenerate:
                          "--instruction", "hi", "--media", "bogus:x"])
         assert code == 3
         assert "kind 'bogus'" in capsys.readouterr().err
+
+    def test_generate_media_without_kind_is_an_image(self, trained, capsys,
+                                                     monkeypatch):
+        seen = []
+        build_sequence = cli.build_sequence
+
+        def recording_build(ex, *args, **kwargs):
+            seen.append(ex.media)
+            return build_sequence(ex, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_sequence", recording_build)
+        code = dispatch(["generate", "--checkpoint",
+                         str(trained["out"] / "final.ckpt"),
+                         "--instruction", "hi", "--media", "photo.jpg",
+                         "--max-new", "2"])
+        assert code == 0
+        assert seen == [({"kind": "image", "path": "photo.jpg"},)]
+
+    def test_max_new_over_the_room_exits_4(self, trained, capsys):
+        code = dispatch(["generate", "--checkpoint",
+                         str(trained["out"] / "final.ckpt"),
+                         "--instruction", "hi", "--max-new", "1000"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("error: ") and "max 128" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_max_new_below_1_is_a_usage_error(self, trained, capsys, value):

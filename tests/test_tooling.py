@@ -5,11 +5,12 @@ import sys
 import numpy as np
 
 from mmtune import autograd
-from mmtune.cognitive import DecoderConfig, init_params
+from mmtune.cognitive import DecoderConfig, generate_greedy, init_params
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
-from mmtune.training import build_sequence
+from mmtune.training import TrainConfig, _batch_loss_and_grads, build_sequence
+from conftest import make_examples
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -46,3 +47,29 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     # encoders.encode.unique_ratio counts these, read off encode's arguments
     fingerprint = MediaRef.from_path("video", "v").fingerprint
     assert record.media == {("video", fingerprint, 9)}
+
+
+def test_no_add_in_the_model_broadcasts(monkeypatch, tiny_mod_cfg):
+    # the backward sums no gradient down to an operand's shape, so every add
+    # in a training step and a decode joins operands of one shape: a bias
+    # belongs inside matmul
+    shapes = []
+    add = autograd.add
+
+    def recording_add(a, b):
+        shapes.append((np.shape(getattr(a, "data", a)),
+                       np.shape(getattr(b, "data", b))))
+        return add(a, b)
+
+    monkeypatch.setattr(autograd, "add", recording_add)
+    dec_cfg = DecoderConfig(d_e=16, layers=2, heads=2, d_ff=32, max_seq_len=96,
+                            alignment_heads=2)
+    params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
+    examples = make_examples(6)
+    _batch_loss_and_grads(examples, params, dec_cfg, tiny_mod_cfg, Vocab(),
+                          TrainConfig(max_seq_len=96), [examples])
+    seq = build_sequence(examples[0], params, dec_cfg, tiny_mod_cfg, Vocab(),
+                         with_response=False)
+    generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
+    assert shapes
+    assert all(a == b for a, b in shapes), sorted(set(shapes))
