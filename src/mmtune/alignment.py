@@ -1,6 +1,6 @@
 """Soft-token construction: compress modality features to a fixed length,
 project into the embedding width, attend against the embedding matrix, and
-concatenate with the embedded instruction text.
+lay the soft tokens out with the embedded text.
 """
 
 from __future__ import annotations
@@ -79,53 +79,53 @@ def align(h_prime: Tensor, embed_matrix: Tensor, freeze_embedding: bool = False,
 
 @dataclass
 class InstructionSequence:
-    """The assembled model input: soft tokens then embedded text."""
+    """The model input of one sequence or a pack: soft tokens, then text."""
 
     embedded: Tensor               # S×d_e
     spans: list = field(default_factory=list)   # (tag, start, stop)
     ids: np.ndarray = None         # length S; -1 at soft-token positions
+    segments: list = None          # lengths of the packed sequences
 
     @property
     def length(self) -> int:
         return self.embedded.shape[0]
 
     def span(self, tag: str):
-        for t, a, b in self.spans:
-            if t == tag:
-                return (a, b)
-        return None
+        return next(((a, b) for t, a, b in self.spans if t == tag), None)
 
 
-def assemble_prefix(soft: dict, instruction_ids, embed,
-                    response_ids=None) -> InstructionSequence:
-    """Concatenate [image : video : audio : embedded text] and record spans.
+def assemble_prefix(soft: list, items: list, texts: list,
+                    embed) -> InstructionSequence:
+    """Lay out a pack of sequences back to back, one per (instruction ids,
+    response ids or None) in `texts`, each as [image : video : audio :
+    instruction text : response text]; ids are used exactly as given.
 
-    `soft` maps each present modality kind to its L'×d_e soft tokens, which
-    go in encoders.KINDS order. `embed` maps an id list to an |ids|×d_e
-    tensor. Ids are used exactly as given; BOS/SEP/EOS framing is the caller's.
-    """
-    instruction_ids = list(instruction_ids)
-    if not instruction_ids:
-        raise MissingText("instruction ids must be non-empty")
-    parts, spans, ids = [], [], []
-    pos = 0
-    for tag in KINDS:
-        if tag not in soft:
-            continue
-        n = soft[tag].shape[0]
-        parts.append(soft[tag])
-        spans.append((tag, pos, pos + n))
-        ids.extend([-1] * n)
-        pos += n
-    parts.append(embed(instruction_ids))
-    spans.append(("instruction-text", pos, pos + len(instruction_ids)))
-    ids.extend(instruction_ids)
-    pos += len(instruction_ids)
-    if response_ids is not None:
-        response_ids = list(response_ids)
-        parts.append(embed(response_ids))
-        spans.append(("response-text", pos, pos + len(response_ids)))
-        ids.extend(response_ids)
-        pos += len(response_ids)
-    return InstructionSequence(embedded=ag.concat_rows(parts), spans=spans,
-                                ids=np.asarray(ids, dtype=np.int64))
+    The rows of the tensors in `soft`, stacked, hold an equal block of soft
+    tokens for each (sequence index, kind) of `items`, in that order. `embed`
+    maps ids to their rows; it runs once, on all the text ids, and one gather
+    then places the soft and the text rows."""
+    n_soft = sum(t.shape[0] for t in soft)
+    block = n_soft // max(len(items), 1)
+    rank = {item: b for b, item in enumerate(items)}
+    order, ids, text, spans, segments = [], [], [], [], []
+    for j, (instr, resp) in enumerate(texts):
+        if not len(instr):
+            raise MissingText("instruction ids must be non-empty")
+        # (tag, first row in the source, ids); text rows follow the soft rows
+        parts = [(kind, rank[j, kind] * block, [-1] * block)
+                 for kind in KINDS if (j, kind) in rank]
+        for tag, part in (("instruction-text", instr), ("response-text", resp)):
+            if part is not None:
+                parts.append((tag, n_soft + len(text), part))
+                text += part
+        for tag, first, part in parts:
+            spans.append((tag, len(ids), len(ids) + len(part)))
+            order += range(first, first + len(part))
+            ids += part
+        segments.append(sum(len(part) for _, _, part in parts))
+    rows = soft + [embed(text)]
+    rows = rows[0] if len(rows) == 1 else ag.concat_rows(rows)
+    if order != list(range(len(order))):  # else laid out already
+        rows = ag.take_rows(rows, np.array(order))
+    return InstructionSequence(embedded=rows, spans=spans, segments=segments,
+                               ids=np.array(ids, dtype=np.int64))

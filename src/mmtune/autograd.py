@@ -450,10 +450,6 @@ def take_rows(a, index) -> Tensor:
     return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
 
 
-def slice_rows(a, start, stop) -> Tensor:
-    return take_rows(a, np.s_[start:stop])
-
-
 def slice_cols(a, start, stop) -> Tensor:
     a, index = _as_tensor(a), np.s_[:, start:stop]
     return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
@@ -490,12 +486,15 @@ def conv1d(x, w, bias, stride=1) -> Tensor:
         raise KernelTooLarge(f"kernel {k} exceeds input length {L}")
     if stride < 1:
         raise ValueError("stride must be positive")
-    # windows: (L_out, d_in, k)
-    win = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)[::stride]
-    out_data = np.einsum("pck,kco->po", win, w.data) + bias.data
+    # the L_out×(k·d_in) matrix of windows, gathered with one index array,
+    # times the kernel as a (k·d_in)×d_out matrix
+    win = x.data[np.arange(0, L - k + 1, stride)[:, None]
+                 + np.arange(k)].reshape(-1, k * d_in)
+    out_data = win @ w.data.reshape(k * d_in, d_out)
+    out_data += bias.data
 
     def bwd(g):
-        _accum(w, np.einsum("pck,po->kco", win, g), fresh=True)
+        _accum(w, (win.T @ g).reshape(w.shape), fresh=True)
         _accum(bias, g.sum(axis=0), fresh=True)
 
     return _node(out_data, (w, bias), bwd)

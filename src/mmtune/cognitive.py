@@ -116,7 +116,7 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
 def embed_tokens(ids, params: ModelParams) -> Tensor:
     """Row lookup into E; positional terms are added inside forward()."""
     rows = params.embedding.shape[0]
-    idx = np.asarray(list(ids), dtype=np.int64)
+    idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = idx[(idx < 0) | (idx >= rows)][0]
         raise InvalidId(f"token id {bad} outside [0, {rows})")
@@ -160,23 +160,19 @@ def forward(seq: InstructionSequence, params: ModelParams,
     """Causal decoder over the assembled sequence; returns S×V logits.
 
     With a `cache` of the first cache.t positions, `seq` holds only the rows
-    after them, and their keys and values join the cache. Without a cache,
-    `segments` gives the lengths of sequences packed one after another into
-    `seq`: each attends only to itself, with positions from 0, so its rows
-    come out as if it ran alone. `rows`, a slice or an array of distinct row
-    numbers, limits the final norm and the logits to those rows."""
-    if segments is None:
-        t = cache.t if cache is not None else 0
-        n = t + seq.length
-        if n > cfg.max_seq_len:
-            raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
-        pos = ag.slice_rows(params["pos"], t, n)
-    else:
-        if max(segments) > cfg.max_seq_len:
-            raise SequenceTooLong(f"sequence length {max(segments)} > max "
-                                  f"{cfg.max_seq_len}")
-        pos = ag.embedding(params["pos"],
-                           np.concatenate([np.arange(s) for s in segments]))
+    after them, one segment, and their keys and values join the cache.
+    Without a cache, `segments` gives the lengths of sequences packed one
+    after another into `seq` (one when None): each attends only to itself,
+    with positions from 0, so its rows come out as if it ran alone. `rows`,
+    a slice or an array of distinct row numbers, limits the final norm and
+    the logits to those rows."""
+    t = cache.t if cache is not None else 0
+    n = t + max(segments or [seq.length])
+    if n > cfg.max_seq_len:
+        raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
+    pos = ag.embedding(params["pos"], np.arange(t, t + seq.length)
+                       if segments is None else
+                       np.concatenate([np.arange(s) for s in segments]))
     x = ag.add(seq.embedded, pos)
     for i in range(cfg.layers):
         p = f"layers.{i}"
@@ -186,7 +182,7 @@ def forward(seq: InstructionSequence, params: ModelParams,
         h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
         x = ag.add(x, ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
     if cache is not None:
-        cache.t = n
+        cache.t = t + seq.length
     if rows is not None:
         x = ag.take_rows(x, rows)
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])

@@ -21,7 +21,7 @@ from .autograd import Tensor
 from .cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                         init_params)
 from .dataset import example_to_line
-from .encoders import MediaRef, ModalityConfig, check_field_types
+from .encoders import KINDS, MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
                      NoResponseSpan, SequenceTooLong, VersionMismatch)
 from .tokenizer import BOS, EOS, SEP, Vocab
@@ -75,30 +75,44 @@ def frame_text_ids(vocab: Vocab, instruction: str, response: str | None):
     return instr, resp
 
 
+def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
+               mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None,
+               with_response: bool = True) -> InstructionSequence:
+    """The input rows of a pack of dataset examples, back to back. Each media
+    item is encoded and transformed alone, then one `align` call makes the
+    soft tokens of all of them (one per kind with alignment_heads > 1,
+    whose projections are per kind), and assemble_prefix lays them out."""
+    freeze = bool(train_cfg and train_cfg.freeze_embedding)
+    items, queries, soft = [], [], []
+    for kind in KINDS:
+        for j, ex in enumerate(pack):
+            # only the first item of each kind is used
+            m = next((m for m in ex.media if m["kind"] == kind), None)
+            if m is not None:
+                feats = encoders.encode(MediaRef.from_path(
+                    kind, m["path"], frames=m.get("frames")), mod_cfg)
+                items.append((j, kind))
+                queries.append(transform(feats, params.group(
+                    f"transform.{kind}"), mod_cfg.l_prime))
+    for kind in KINDS if dec_cfg.alignment_heads > 1 else [None]:
+        q = [h for h, (_, k) in zip(queries, items) if kind in (None, k)]
+        if q:
+            soft.append(align(
+                q[0] if len(q) == 1 else ag.concat_rows(q), params.embedding,
+                freeze_embedding=freeze, heads=dec_cfg.alignment_heads,
+                proj=params.group(f"align.{kind}") if kind else None))
+    texts = [frame_text_ids(vocab, ex.instruction,
+                            ex.response if with_response else None)
+             for ex in pack]
+    return assemble_prefix(soft, items, texts, lambda i: embed_tokens(i, params))
+
+
 def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
                    mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None,
                    with_response: bool = True) -> InstructionSequence:
-    """Encode media, transform/align them into soft tokens, and assemble the
-    full input sequence for one dataset example."""
-    freeze = bool(train_cfg and train_cfg.freeze_embedding)
-    soft = {}
-    for m in example.media:  # only the first item of each kind is used
-        kind = m["kind"]
-        if kind in soft:
-            continue
-        feats = encoders.encode(
-            MediaRef.from_path(kind, m["path"], frames=m.get("frames")), mod_cfg)
-        h_prime = transform(feats, params.group(f"transform.{kind}"),
-                            mod_cfg.l_prime)
-        proj = (params.group(f"align.{kind}") if dec_cfg.alignment_heads > 1
-                else None)
-        soft[kind] = align(h_prime, params.embedding, freeze_embedding=freeze,
-                           proj=proj, heads=dec_cfg.alignment_heads)
-    instr_ids, resp_ids = frame_text_ids(
-        vocab, example.instruction,
-        example.response if with_response else None)
-    return assemble_prefix(soft, instr_ids, lambda ids: embed_tokens(ids, params),
-                           response_ids=resp_ids)
+    """The input sequence of one dataset example: a pack of one."""
+    return build_pack([example], params, dec_cfg, mod_cfg, vocab, train_cfg,
+                      with_response)
 
 
 def _response_spans(seq: InstructionSequence) -> list:
@@ -112,11 +126,8 @@ def response_rows(seq: InstructionSequence):
     """The rows whose logits predict the response targets, p - 1 for each
     response position p: a slice for one response span, an index array for
     the several of a pack."""
-    spans = _response_spans(seq)
-    if len(spans) == 1:
-        (a, b), = spans
-        return np.s_[a - 1:b - 1]
-    return np.concatenate([np.arange(a - 1, b - 1) for a, b in spans])
+    rows = [np.s_[a - 1:b - 1] for a, b in _response_spans(seq)]
+    return rows[0] if len(rows) == 1 else np.r_[tuple(rows)]
 
 
 def response_nll(logits: Tensor, seq: InstructionSequence,
@@ -164,26 +175,16 @@ def _packs(examples, limit: int, mod_cfg: ModalityConfig, vocab: Vocab):
         yield pack
 
 
-def _run_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
-              mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None):
-    """Build the pack's sequences and run them through one forward, each
-    attending only to itself. Returns (the packed sequence, the logits of
-    its response_rows); a pack of one is that example's own sequence."""
-    seqs = [build_sequence(ex, params, dec_cfg, mod_cfg, vocab, train_cfg)
-            for ex in pack]
-    segments = None
-    seq = seqs[0]
-    if len(seqs) > 1:
-        spans, offset = [], 0
-        for s in seqs:
-            spans += [(tag, a + offset, b + offset) for tag, a, b in s.spans]
-            offset += s.length
-        seq = InstructionSequence(
-            embedded=ag.concat_rows([s.embedded for s in seqs]), spans=spans,
-            ids=np.concatenate([s.ids for s in seqs]))
-        segments = [s.length for s in seqs]
-    return seq, forward(seq, params, dec_cfg, segments=segments,
-                        rows=response_rows(seq))
+def _pack_nlls(examples, params, dec_cfg, mod_cfg, vocab, cfg, reduction):
+    """Yield the response NLL of each pack of `examples`, in order: its rows
+    are built when it runs and go through one forward, in which each example
+    attends only to itself."""
+    limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
+    for pack in _packs(examples, limit, mod_cfg, vocab):
+        seq = build_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
+        logits = forward(seq, params, dec_cfg, segments=seq.segments,
+                         rows=response_rows(seq))
+        yield response_nll(logits, seq, reduction=reduction)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -244,22 +245,19 @@ def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
     micro-batch chunks. Returns (loss value, grads dict).
 
     Each micro-batch runs in packs of consecutive examples whose rows total
-    at most min(cfg.max_seq_len, dec_cfg.max_seq_len): a pack shares one
-    forward, in which each example attends only to itself, and one
-    backward. So at most one pack's tape is alive at a time, and it is no
-    larger than one max-length example's, whatever the micro-batch size."""
+    at most min(cfg.max_seq_len, dec_cfg.max_seq_len), one backward a pack.
+    So at most one pack's tape is alive at a time, and it is no larger than
+    one max-length example's, whatever the micro-batch size."""
     n_total = len(examples)
-    limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
     grads = {name: np.zeros_like(params[name].data) for name in params.names()}
     total_loss = 0.0
     for micro in micro_batches:
         params.zero_grad()
-        for pack in _packs(micro, limit, mod_cfg, vocab):
-            seq, logits = _run_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
+        for nll in _pack_nlls(micro, params, dec_cfg, mod_cfg, vocab, cfg,
+                              cfg.loss_reduction):
             # normalized by the full batch size, so grads accumulated over
             # packs and micros equal the single-batch mean gradient
-            loss = ag.mul(response_nll(logits, seq, reduction=cfg.loss_reduction),
-                          1.0 / n_total)
+            loss = ag.mul(nll, 1.0 / n_total)
             loss.backward()
             total_loss += float(loss.data)
         for name in params.names():
@@ -396,13 +394,10 @@ def evaluate(dataset, ckpt: Checkpoint) -> dict:
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    limit = min(ckpt.train_cfg.max_seq_len, ckpt.dec_cfg.max_seq_len)
-    total = 0.0
     with ag.no_grad():
-        for pack in _packs(dataset, limit, ckpt.mod_cfg, ckpt.vocab):
-            seq, logits = _run_pack(pack, ckpt.params, ckpt.dec_cfg,
-                                    ckpt.mod_cfg, ckpt.vocab)
-            total += float(response_nll(logits, seq).data)
+        total = sum(float(nll.data) for nll in _pack_nlls(
+            dataset, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg, ckpt.vocab,
+            ckpt.train_cfg, "mean"))
     mean_nll = total / len(dataset)
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}

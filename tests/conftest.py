@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from mmtune.alignment import assemble_prefix
 from mmtune.cognitive import DecoderConfig, init_params
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import ModalityConfig
@@ -44,6 +45,13 @@ def make_examples(n, kinds=("image", "video", "audio"), source="synthetic"):
                                       response=words[i % len(words)],
                                       source=source))
     return out
+
+
+def assemble_one(soft, instruction_ids, embed, response_ids=None):
+    """assemble_prefix for a lone sequence, with its soft tokens given as a
+    dict from kind to tensor."""
+    return assemble_prefix(list(soft.values()), [(0, kind) for kind in soft],
+                           [(instruction_ids, response_ids)], embed)
 
 
 @pytest.fixture

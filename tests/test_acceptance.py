@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mmtune import dataset as ds
-from mmtune.alignment import align, assemble_prefix, init_transform, transform
+from mmtune.alignment import align, init_transform, transform
 from mmtune.autograd import Tensor, finite_diff_check
 from mmtune.cli import dispatch
 from mmtune.cognitive import (DecoderConfig, embed_tokens, forward,
@@ -25,7 +25,7 @@ from mmtune.encoders import ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_sequence,
                              evaluate, fit, lr_at, response_nll)
-from conftest import make_examples
+from conftest import assemble_one, make_examples
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -113,8 +113,8 @@ class TestAcceptance:
             present = {k: tokens[k] for i, k in enumerate(("image", "video", "audio"))
                        if (bits >> i) & 1}
             m = len(present)
-            seq = assemble_prefix(present, instr_ids,
-                                  lambda ids: Tensor(e.data[ids]))
+            seq = assemble_one(present, instr_ids,
+                               lambda ids: Tensor(e.data[ids]))
             assert seq.length == m * l_prime + len(instr_ids)
 
     @criterion(4, "16-example overfit: NLL < 0.1 and >= 14/16 exact responses")
@@ -255,8 +255,8 @@ class TestAcceptance:
             n = int(rng.integers(3, 20))
             ids = list(rng.integers(4, 260, size=n))
             j = int(rng.integers(1, n))
-            seq = assemble_prefix({}, ids,
-                                  lambda i: embed_tokens(i, tiny_params))
+            seq = assemble_one({}, ids,
+                               lambda i: embed_tokens(i, tiny_params))
             base = forward(seq, tiny_params, tiny_dec_cfg).data
             zeroed = seq.embedded.data.copy()
             zeroed[j] = 0.0
@@ -266,9 +266,9 @@ class TestAcceptance:
                 tiny_params, tiny_dec_cfg).data
             np.testing.assert_array_equal(base[:j], pert[:j])
 
-        seq = assemble_prefix({}, [1, 10, 11, 3],
-                              lambda i: embed_tokens(i, tiny_params),
-                              response_ids=[20, 21, 2])
+        seq = assemble_one({}, [1, 10, 11, 3],
+                           lambda i: embed_tokens(i, tiny_params),
+                           response_ids=[20, 21, 2])
         logits = Tensor(rng.normal(size=(seq.length, 260)))
         base = float(response_nll(logits, seq).data)
         ins_a, ins_b = seq.span("instruction-text")

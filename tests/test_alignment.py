@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
-from mmtune.alignment import (align, assemble_prefix, derive_stride_kernel,
-                              init_transform, transform)
+from mmtune.alignment import (align, derive_stride_kernel, init_transform,
+                              transform)
 from mmtune.autograd import Tensor, attention, finite_diff_check
 from mmtune.errors import BadLength, MissingText, ShapeMismatch
+from conftest import assemble_one
 
 
 def causal_mask(n, m):
@@ -374,8 +375,8 @@ class TestAssemblePrefix:
         return Tensor(rng.normal(size=(n, d_e)))
 
     def test_full_combination_length(self):
-        seq = assemble_prefix({k: self.toks(4, kind=k) for k in ("image", "video", "audio")},
-                              list(range(10)), self.embed(), response_ids=list(range(6)))
+        seq = assemble_one({k: self.toks(4, kind=k) for k in ("image", "video", "audio")},
+                           list(range(10)), self.embed(), response_ids=list(range(6)))
         assert seq.length == 12 + 16
 
     def test_all_presence_combinations(self):
@@ -383,27 +384,27 @@ class TestAssemblePrefix:
         for bits in range(8):
             mods = {k: self.toks(l_prime, kind=k)
                     for i, k in enumerate(("image", "video", "audio")) if bits >> i & 1}
-            seq = assemble_prefix(mods, [10, 11], self.embed(), response_ids=[12])
+            seq = assemble_one(mods, [10, 11], self.embed(), response_ids=[12])
             m = bin(bits).count("1")
             assert seq.length == m * l_prime + 3
 
     def test_text_only(self):
-        seq = assemble_prefix({}, [5, 6, 7], self.embed())
+        seq = assemble_one({}, [5, 6, 7], self.embed())
         assert seq.length == 3
         assert [t for t, _, _ in seq.spans] == ["instruction-text"]
 
     def test_modality_order(self):
-        seq = assemble_prefix({k: self.toks(2, kind=k) for k in ("audio", "video", "image")},
-                              [1], self.embed())
+        seq = assemble_one({k: self.toks(2, kind=k) for k in ("audio", "video", "image")},
+                           [1], self.embed())
         assert [t for t, _, _ in seq.spans] == ["image", "video", "audio",
                                                 "instruction-text"]
 
     def test_missing_text(self):
         with pytest.raises(MissingText):
-            assemble_prefix({}, [], self.embed())
+            assemble_one({}, [], self.embed())
 
     def test_ids_mark_soft_positions(self):
-        seq = assemble_prefix({"image": self.toks(2)}, [8, 9], self.embed(),
-                              response_ids=[4])
+        seq = assemble_one({"image": self.toks(2)}, [8, 9], self.embed(),
+                           response_ids=[4])
         assert list(seq.ids) == [-1, -1, 8, 9, 4]
         assert seq.span("response-text") == (4, 5)

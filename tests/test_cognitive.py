@@ -7,7 +7,7 @@ import pytest
 
 from mmtune import autograd as ag
 from mmtune import cognitive
-from mmtune.alignment import InstructionSequence, assemble_prefix
+from mmtune.alignment import InstructionSequence
 from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, KVCache, ModelParams, embed_tokens,
                               forward, generate_greedy, init_params)
@@ -15,12 +15,13 @@ from mmtune.dataset import InstructionExample
 from mmtune.errors import InvalidId, SequenceTooLong
 from mmtune.tokenizer import EOS, N_IDS, Vocab
 from mmtune.training import build_sequence
+from conftest import assemble_one
 from test_alignment import composed_attention
 
 
 def text_sequence(ids, params):
-    return assemble_prefix({}, list(ids),
-                           lambda i: embed_tokens(i, params))
+    return assemble_one({}, list(ids),
+                        lambda i: embed_tokens(i, params))
 
 
 class TestEmbedTokens:
@@ -218,9 +219,9 @@ class TestGenerateGreedy:
                             tiny_dec_cfg)
 
     def test_rejects_response_span(self, tiny_params, tiny_dec_cfg):
-        seq = assemble_prefix({}, [1, 5, 3],
-                              lambda i: embed_tokens(i, tiny_params),
-                              response_ids=[9, 2])
+        seq = assemble_one({}, [1, 5, 3],
+                           lambda i: embed_tokens(i, tiny_params),
+                           response_ids=[9, 2])
         with pytest.raises(ValueError):
             generate_greedy(seq, 4, tiny_params, tiny_dec_cfg)
 

@@ -293,6 +293,29 @@ class TestConv1d:
                         Tensor(np.zeros(1)), stride=stride)
         assert out.shape[0] == (L - k) // stride + 1
 
+    @pytest.mark.parametrize("L,l_prime", [(16, 4), (24, 4), (10, 4), (7, 3)],
+                             ids=["apart", "apart-wide", "overlap", "overlap-odd"])
+    def test_matches_a_sliding_window_einsum(self, L, l_prime):
+        # the default geometry tiles L with windows that do not overlap
+        # (stride = kernel); L=10 to L'=4 takes stride 2 and kernel 4
+        stride = L // l_prime
+        k = L - (l_prime - 1) * stride
+        assert (k == stride) == (L % l_prime == 0)
+        rng = np.random.default_rng(L)
+        x, b = rng.normal(size=(L, 5)), rng.normal(size=3)
+        w = rng.normal(size=(k, 5, 3))
+        g = rng.normal(size=(l_prime, 3))
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = ag.conv1d(Tensor(x), wt, bt, stride=stride)
+        ag.sum_all(ag.mul(out, g)).backward()
+        win = np.lib.stride_tricks.sliding_window_view(x, k, axis=0)[::stride]
+        np.testing.assert_allclose(out.data,
+                                   np.einsum("pck,kco->po", win, w) + b,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, np.einsum("pck,po->kco", win, g),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bt.grad, g.sum(axis=0), rtol=0, atol=1e-12)
+
     def test_input_with_gradient_raises(self):
         w, b = Tensor(np.ones((2, 3, 1)), requires_grad=True), Tensor(np.zeros(1))
         leaf = Tensor(np.ones((4, 3)), requires_grad=True)
@@ -394,7 +417,7 @@ class TestBackward:
             h = ag.layernorm_rows(h, p["g"], p["b"])
             # conv1d's input is a constant, as a frozen encoder's features are
             c = ag.conv1d(Tensor(data["x"]), p["k"], p["cb"])
-            h = ag.add(h, ag.concat_rows([c, ag.slice_rows(h, 0, 2)]))
+            h = ag.add(h, ag.concat_rows([c, ag.take_rows(h, np.s_[0:2])]))
             h = ag.attention(h, p["e"], p["e"], heads=2)
             h = ag.attention(h, h, h, heads=2, causal=True, segments=[2, 4])
             z = ag.matmul(h, ag.transpose(p["e"]))

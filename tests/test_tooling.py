@@ -9,7 +9,8 @@ from mmtune.cognitive import DecoderConfig, generate_greedy, init_params
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
-from mmtune.training import TrainConfig, _batch_loss_and_grads, build_sequence
+from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_pack,
+                             build_sequence)
 from conftest import make_examples
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -73,3 +74,31 @@ def test_no_add_in_the_model_broadcasts(monkeypatch, tiny_mod_cfg):
     generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
     assert shapes
     assert all(a == b for a, b in shapes), sorted(set(shapes))
+
+
+def tape_nodes(t):
+    """The distinct tensors with recorded parents that `t` was made from,
+    itself included: the nodes a backward from it would walk."""
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_a_short_pack_builds_in_eleven_nodes():
+    # the benchmark's short workload: packs of three one-media examples,
+    # kinds cycling image/video/audio. Per item a conv1d and a matmul; then
+    # one concat of the queries, one align, one text lookup, and the concat
+    # and the gather that lay the rows out
+    dec_cfg, mod_cfg = DecoderConfig(max_seq_len=128), ModalityConfig()
+    params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
+    pack = [InstructionExample(id=f"s{i}", media=({"kind": kind, "path": f"m{i}"},),
+                               instruction="i" * 14, response="r" * 12,
+                               source="synthetic")
+            for i, kind in enumerate(("image", "video", "audio"))]
+    seq = build_pack(pack, params, dec_cfg, mod_cfg, Vocab(), TrainConfig())
+    assert seq.segments == [33, 33, 33]
+    assert tape_nodes(seq.embedded) <= 11

@@ -10,26 +10,28 @@ import pytest
 
 from mmtune import autograd as ag
 from mmtune import training
-from mmtune.alignment import assemble_prefix
+from mmtune.alignment import align, transform
 from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                               init_params)
 from mmtune.dataset import InstructionExample
+from mmtune.encoders import KINDS, MediaRef, encode
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            EmptyDataset, NoResponseSpan, SequenceTooLong,
                            VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
-                             _batch_loss_and_grads, build_sequence, evaluate,
-                             fit, load_checkpoint, lr_at, response_nll,
+                             _batch_loss_and_grads, build_pack,
+                             build_sequence, evaluate, fit, frame_text_ids,
+                             load_checkpoint, lr_at, response_nll,
                              save_checkpoint, total_optimizer_steps, train_step)
-from conftest import (bogus_decoder_key, drop_dataset_key, make_examples,
-                      rewrite_ckpt_config, to_format_4)
+from conftest import (assemble_one, bogus_decoder_key, drop_dataset_key,
+                      make_examples, rewrite_ckpt_config, to_format_4)
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
-    return assemble_prefix({}, list(instr_ids),
-                           lambda i: embed_tokens(i, params),
-                           response_ids=list(resp_ids))
+    return assemble_one({}, list(instr_ids),
+                        lambda i: embed_tokens(i, params),
+                        response_ids=list(resp_ids))
 
 
 def record_forward_lengths(monkeypatch):
@@ -72,8 +74,8 @@ class TestResponseNLL:
             assert float(response_nll(logits, seq).data) == base
 
     def test_no_response_span(self, tiny_params):
-        seq = assemble_prefix({}, [1, 5],
-                              lambda i: embed_tokens(i, tiny_params))
+        seq = assemble_one({}, [1, 5],
+                           lambda i: embed_tokens(i, tiny_params))
         with pytest.raises(NoResponseSpan):
             response_nll(Tensor(np.zeros((2, 260))), seq)
 
@@ -245,7 +247,7 @@ class TestBuildSequence:
         seq = build_sequence(make_examples(1)[0], params, dec_cfg, tiny_mod_cfg,
                              vocab, TrainConfig(freeze_embedding=True))
         a, b = seq.span("image")
-        ag.sum_all(ag.slice_rows(seq.embedded, a, b)).backward()
+        ag.sum_all(ag.take_rows(seq.embedded, np.s_[a:b])).backward()
         grad = params.embedding.grad
         assert grad is None or not grad.any()
         assert params["align.image.wq"].grad.any()
@@ -266,6 +268,94 @@ class TestBuildSequence:
         assert seqs[0].spans == seqs[1].spans
         a, b = (forward(seq, params, dec_cfg).data for seq in seqs)
         assert a.tobytes() == b.tobytes()
+
+
+def per_example_pack(pack, params, dec_cfg, mod_cfg, vocab, train_cfg):
+    """The oracle for build_pack: each example built alone, with one align
+    per media item, and the sequences joined by concat_rows. Returns (rows,
+    spans, ids, segment lengths)."""
+    freeze, heads = train_cfg.freeze_embedding, dec_cfg.alignment_heads
+    rows, spans, ids, segments = [], [], [], []
+    for ex in pack:
+        soft = {}
+        for m in ex.media:
+            kind = m["kind"]
+            if kind not in soft:
+                feats = encode(MediaRef.from_path(kind, m["path"],
+                                                  frames=m.get("frames")), mod_cfg)
+                h = transform(feats, params.group(f"transform.{kind}"),
+                              mod_cfg.l_prime)
+                soft[kind] = align(h, params.embedding, freeze_embedding=freeze,
+                                   heads=heads, proj=params.group(f"align.{kind}")
+                                   if heads > 1 else None)
+        instr, resp = frame_text_ids(vocab, ex.instruction, ex.response)
+        parts = [(kind, soft[kind], [-1] * mod_cfg.l_prime)
+                 for kind in KINDS if kind in soft]
+        parts += [("instruction-text", embed_tokens(instr, params), instr),
+                  ("response-text", embed_tokens(resp, params), resp)]
+        start = len(ids)
+        for tag, t, part in parts:
+            spans.append((tag, len(ids), len(ids) + len(part)))
+            rows.append(t)
+            ids += part
+        segments.append(len(ids) - start)
+    return ag.concat_rows(rows), spans, ids, segments
+
+
+def media_packs(seed):
+    """Packs of 1-3 examples with 0-3 media each, kinds drawn with repeats."""
+    rng = np.random.default_rng(seed)
+    examples = make_examples(9)
+    out = []
+    for p, size in enumerate((1, 2, 3, 3)):
+        pack = []
+        for i in range(size):
+            ex = examples[int(rng.integers(len(examples)))]
+            kinds = rng.choice(KINDS, size=(p + i) % 4)
+            media = tuple({"kind": str(k), "path": f"m{int(rng.integers(5))}",
+                           "frames": int(rng.integers(1, 30))} for k in kinds)
+            pack.append(dataclasses.replace(ex, media=media))
+        out.append(pack)
+    return out
+
+
+class TestBuildPack:
+    @staticmethod
+    def built(build, pack, params, *args):
+        """((rows, spans, ids, segments), parameter gradients) of one build,
+        whose rows are weighted by fixed random numbers and summed."""
+        params.zero_grad()
+        out = build(pack, params, *args)
+        if build is build_pack:
+            out = out.embedded, out.spans, list(out.ids), out.segments
+        weights = np.random.default_rng(9).normal(size=out[0].shape)
+        ag.sum_all(ag.mul(out[0], weights)).backward()
+        return ((out[0].data,) + out[1:],
+                {name: params[name].grad for name in params.names()})
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["train-E", "freeze-E"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_matches_per_example_builds(self, tiny_dec_cfg, tiny_mod_cfg,
+                                        vocab, heads, freeze):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=heads)
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(5))
+        args = (dec_cfg, tiny_mod_cfg, vocab, TrainConfig(freeze_embedding=freeze))
+        packs = media_packs(heads + 2 * freeze)
+        assert {len(p) for p in packs} == {1, 2, 3}
+        assert {len(ex.media) for p in packs for ex in p} == {0, 1, 2, 3}
+        for pack in packs:
+            (rows, *layout), grads = self.built(build_pack, pack, params, *args)
+            (want_rows, *want_layout), want_grads = self.built(
+                per_example_pack, pack, params, *args)
+            np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12)
+            assert layout == want_layout
+            assert sum(layout[2]) == rows.shape[0]
+            for name, want in want_grads.items():
+                if want is None:
+                    assert grads[name] is None or not grads[name].any(), name
+                else:
+                    np.testing.assert_allclose(grads[name], want, rtol=0,
+                                               atol=1e-12, err_msg=name)
 
 
 def adam_oracle(p, m, v, g, t, lr, cfg):
