@@ -231,26 +231,28 @@ _BLOCK = 64
 _AHEAD = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
 
-def attention(q, k, v, heads=1, causal=False, segments=None) -> Tensor:
+def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tensor:
     """softmax(QK^T / sqrt(d_head)) V for q: n×d, k: m×d, v: m×d_v, as one node.
 
     The columns split into `heads` equal groups that run as one batched
-    product. With `causal` the n queries are the last n of the m key
-    positions, so query i sees keys [0, m - n + i]: a full sequence, a
-    prefill and one KV-cached row all take the same call. Causal queries
-    then run in row blocks of _BLOCK rows: block [r0, r1) scores only the
-    c = m - n + r1 keys its last row can see and masks only its diagonal
-    part, so the keys above the diagonal are never scored, exponentiated or
-    saved. A non-causal call, or one of at most _BLOCK queries, is a single
-    block. The node keeps each block's probabilities P and the split q, k
-    and v. With G the output's gradient and s = 1/sqrt(d_head), the backward
-    walks the same blocks: dP = G_blk V[:c]^T, dS = P * (dP - rowsum(dP * P)),
-    dQ_blk = s dS K[:c], dK[:c] += s dS^T Q_blk and dV[:c] += P^T G_blk.
+    product. A causal call follows one rule: the m keys are consecutive
+    segments of lengths `segments` (one when None), the n queries are, in
+    order, the last tails[j] rows of each segment j, and a query sees its
+    segment's keys up to its own position. `tails` defaults to all n
+    queries in the one segment, or to every row of each segment, so a full
+    sequence, a pack, a prefill and a KV-cached row (n queries as the last n
+    of m keys) take the same call as the rows a loss reads. Each tail runs
+    in row blocks of _BLOCK queries: block [r0, r1) scores only the keys
+    [k0, c) of its segment that its last row can see and masks only its
+    diagonal part, so the keys above the diagonal are never scored,
+    exponentiated or saved. A non-causal call is one block over every key.
 
-    `segments`, for a causal call of n queries over the same n keys, gives
-    the lengths of consecutive sequences packed into those rows. A query
-    then sees, causally, only the keys of its own segment [k0, k0 + length):
-    each segment runs as its own row blocks, which score keys [k0, c)."""
+    The node keeps each block's probabilities P, the split q, k and v, and
+    its output O. With G the output's gradient and s = 1/sqrt(d_head), the
+    backward walks the same blocks: dP = G_blk V[k0:c]^T, dS = P * (dP - D),
+    dQ_blk = s dS K[k0:c], dK[k0:c] += s dS^T Q_blk, dV[k0:c] += P^T G_blk,
+    where D = rowsum(dP * P) = rowsum(G * O) per query row and head is found
+    once per call from the n-row G and O (FlashAttention-2, Dao 2023, 3.1)."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), m = q.shape, k.shape[0]
     if d != k.shape[1]:
@@ -259,11 +261,10 @@ def attention(q, k, v, heads=1, causal=False, segments=None) -> Tensor:
         raise ShapeMismatch(f"{m} keys vs {v.shape[0]} values")
     if d % heads or v.shape[1] % heads:
         raise ShapeMismatch(f"widths {d}, {v.shape[1]} not divisible by {heads} heads")
-    if causal and n > m:
-        raise ShapeMismatch(f"causal attention of {n} queries over {m} keys")
-    if segments is not None and not (causal and n == m == sum(segments)):
-        raise ShapeMismatch(f"segments {list(segments)} need a causal call of "
-                            f"as many queries as keys, not {n} over {m}")
+    if not causal and (segments is not None or tails is not None):
+        raise ShapeMismatch("segments and tails need a causal call")
+    tails = tails or ([n] if segments is None else segments)
+    segments = segments or [m]
 
     def split(a):  # rows×(heads·w) -> heads×rows×w
         return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
@@ -271,24 +272,27 @@ def attention(q, k, v, heads=1, causal=False, segments=None) -> Tensor:
     def merge(a):  # heads×rows×w -> rows×(heads·w)
         return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
+    # (r0, r1, k0, c): query rows [r0, r1) see keys [k0, c), where k0 is the
+    # first row of their segment and c the position after the last row's own
+    blocks, r0, k0, fits = [], 0, 0, len(tails) == len(segments)
+    for length, tail in zip(segments, tails) if causal else ():
+        fits &= 0 < tail <= length
+        end, c = r0 + tail, k0 + length
+        for b in range(r0, end, _BLOCK):
+            r1 = min(b + _BLOCK, end)
+            blocks.append((b, r1, k0, c - end + r1))
+        r0, k0 = end, c
+    if causal and not (fits and r0 == n and k0 == m):
+        raise ShapeMismatch(f"causal attention of {n} queries over {m} keys "
+                            f"as tails {list(tails)} of segments {list(segments)}")
+    blocks = blocks or [(0, n, 0, m)]
     # scale q, not the heads×n×m scores: one pass less over the largest array
     scale = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    # (r0, r1, k0): query rows [r0, r1), which see keys [k0, m - n + r1);
-    # k0 is the first row of the segment, 0 without segments
-    blocks, k0 = [], 0
-    for length in segments or (n,):
-        if causal and length > _BLOCK:
-            blocks += [(r0, min(r0 + _BLOCK, k0 + length), k0)
-                       for r0 in range(k0, k0 + length, _BLOCK)]
-        else:
-            blocks.append((k0, k0 + length, k0))
-        k0 += length
     probs = []
     # rows-first in memory, like dq below, so that merge is a free reshape
     out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
-    for r0, r1, k0 in blocks:
-        c = m - n + r1
+    for r0, r1, k0, c in blocks:
         p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
         if causal:
             b = r1 - r0
@@ -303,16 +307,16 @@ def attention(q, k, v, heads=1, causal=False, segments=None) -> Tensor:
 
     def bwd(g):
         gh = split(g)
+        rowsum = (gh * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qh)
         dk = dv = seen = None
         # walking backwards, the first block of each segment met is its last,
         # which sees all of the segment's keys: its products fill dK and dV
         # there, and the segment's earlier blocks add into them
-        for (r0, r1, k0), p in zip(reversed(blocks), reversed(probs)):
-            c = m - n + r1
+        for (r0, r1, k0, c), p in zip(reversed(blocks), reversed(probs)):
             gb = gh[:, r0:r1]
             ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds -= rowsum[:, r0:r1]
             ds *= p
             np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
             dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]

@@ -45,6 +45,10 @@ class ModelParams:
 
     def __init__(self, tensors: dict):
         self.tensors = dict(tensors)
+        self._groups = {}  # prefix -> [(name, full name)]
+        for full in self.tensors:
+            prefix, _, name = full.rpartition(".")
+            self._groups.setdefault(prefix, []).append((name, full))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -54,9 +58,10 @@ class ModelParams:
         return self.tensors["E"]
 
     def group(self, prefix: str) -> dict:
-        """The tensors named `prefix.<name>`, keyed by `<name>`."""
-        p = prefix + "."
-        return {n[len(p):]: t for n, t in self.tensors.items() if n.startswith(p)}
+        """The tensors named `prefix.<name>`, keyed by `<name>`, which holds
+        no dot. The names are indexed once; the tensors are looked up."""
+        return {name: self.tensors[full]
+                for name, full in self._groups.get(prefix, ())}
 
     def names(self) -> list:
         return sorted(self.tensors)
@@ -137,54 +142,66 @@ class KVCache:
         return cls(np.zeros((cfg.layers, 2, cfg.max_seq_len, cfg.d_e)))
 
 
-def _self_attention(x: Tensor, params: ModelParams, layer: int,
+def _self_attention(h: Tensor, params: ModelParams, layer: int,
                     cfg: DecoderConfig, cache: KVCache | None,
-                    segments) -> Tensor:
+                    segments, tails, rows) -> Tensor:
     p = f"layers.{layer}.attn"
-    q = ag.matmul(x, params[f"{p}.wq"])
-    k = ag.matmul(x, params[f"{p}.wk"])
-    v = ag.matmul(x, params[f"{p}.wv"])
+    q = ag.matmul(h if rows is None else ag.take_rows(h, rows),
+                  params[f"{p}.wq"])
+    k = ag.matmul(h, params[f"{p}.wk"])
+    v = ag.matmul(h, params[f"{p}.wv"])
     if cache is not None:
-        t, n = cache.t, cache.t + x.shape[0]
+        t, n = cache.t, cache.t + h.shape[0]
         cache.kv[layer, 0, t:n] = k.data
         cache.kv[layer, 1, t:n] = v.data
         k, v = Tensor(cache.kv[layer, 0, :n]), Tensor(cache.kv[layer, 1, :n])
     return ag.matmul(ag.attention(q, k, v, cfg.heads, causal=True,
-                                  segments=segments),
+                                  segments=segments, tails=tails),
                      params[f"{p}.wo"])
+
+
+def tail_rows(segments, tails) -> np.ndarray:
+    """The numbers of the last tails[j] rows of each segment j, in order."""
+    ends = np.cumsum(segments)
+    return np.concatenate([np.arange(e - t, e) for e, t in zip(ends, tails)])
 
 
 def forward(seq: InstructionSequence, params: ModelParams,
             cfg: DecoderConfig, cache: KVCache | None = None,
-            segments=None, rows=None) -> Tensor:
-    """Causal decoder over the assembled sequence; returns S×V logits.
+            segments=None, tails=None) -> Tensor:
+    """Causal decoder over the assembled sequence; returns its logits.
 
     With a `cache` of the first cache.t positions, `seq` holds only the rows
     after them, one segment, and their keys and values join the cache.
     Without a cache, `segments` gives the lengths of sequences packed one
     after another into `seq` (one when None): each attends only to itself,
-    with positions from 0, so its rows come out as if it ran alone. `rows`,
-    a slice or an array of distinct row numbers, limits the final norm and
-    the logits to those rows."""
+    with positions from 0, so its rows come out as if it ran alone.
+    `tails`, one count per segment, returns only the logits of each
+    segment's last tails[j] rows (every row's when None). The last layer
+    then runs ln1 and the K and V projections on every row, which those
+    rows attend to, and Q onwards on those rows alone."""
     t = cache.t if cache is not None else 0
-    n = t + max(segments or [seq.length])
+    lengths = segments or [seq.length]
+    n = t + max(lengths)
     if n > cfg.max_seq_len:
         raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
     pos = ag.embedding(params["pos"], np.arange(t, t + seq.length)
                        if segments is None else
                        np.concatenate([np.arange(s) for s in segments]))
     x = ag.add(seq.embedded, pos)
+    last = cfg.layers - 1 if tails and list(tails) != lengths else None
     for i in range(cfg.layers):
         p = f"layers.{i}"
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = ag.add(x, _self_attention(h, params, i, cfg, cache, segments))
+        rows = tail_rows(lengths, tails) if i == last else None
+        x = ag.add(x if rows is None else ag.take_rows(x, rows),
+                   _self_attention(h, params, i, cfg, cache, segments,
+                                   tails if i == last else None, rows))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
         x = ag.add(x, ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
     if cache is not None:
         cache.t = t + seq.length
-    if rows is not None:
-        x = ag.take_rows(x, rows)
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])
     return ag.matmul(x, ag.transpose(params.embedding))
 
@@ -193,7 +210,7 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
                     params: ModelParams, cfg: DecoderConfig,
                     eos_id: int = EOS) -> list:
     """Deterministic argmax decoding; stops at EOS or max_new tokens. Runs
-    without a tape: one forward over the prefix, then one row per token."""
+    without a tape: the prefix runs once for its last row, then one row per token."""
     if prefix.span("response-text") is not None:
         raise ValueError("prefix must not contain a response span")
     if prefix.length + max_new > cfg.max_seq_len:
@@ -204,7 +221,7 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
     seq = prefix
     with ag.no_grad():
         for _ in range(max_new):
-            logits = forward(seq, params, cfg, cache)
+            logits = forward(seq, params, cfg, cache, tails=[1])
             next_id = int(np.argmax(logits.data[-1]))
             if next_id == eos_id:
                 break

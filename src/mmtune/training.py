@@ -19,7 +19,7 @@ from . import encoders
 from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
-                        init_params)
+                        init_params, tail_rows)
 from .dataset import example_to_line
 from .encoders import KINDS, MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
@@ -122,12 +122,15 @@ def _response_spans(seq: InstructionSequence) -> list:
     return spans
 
 
-def response_rows(seq: InstructionSequence):
-    """The rows whose logits predict the response targets, p - 1 for each
-    response position p: a slice for one response span, an index array for
-    the several of a pack."""
-    rows = [np.s_[a - 1:b - 1] for a, b in _response_spans(seq)]
-    return rows[0] if len(rows) == 1 else np.r_[tuple(rows)]
+def response_tails(seq: InstructionSequence) -> list:
+    """Per segment of `seq`, the count of its last rows that response_nll
+    reads: from the row that predicts its first response token to its end.
+    A segment's last row predicts nothing, but keeps the rows a suffix."""
+    ends = np.cumsum(seq.segments or [seq.length])
+    starts = np.array([a for a, _ in _response_spans(seq)])
+    first = ends.copy()
+    np.minimum.at(first, np.searchsorted(ends, starts, side="right"), starts)
+    return (ends - first + 1).tolist()
 
 
 def response_nll(logits: Tensor, seq: InstructionSequence,
@@ -135,18 +138,19 @@ def response_nll(logits: Tensor, seq: InstructionSequence,
     """NLL over response-span targets only; every other position is masked
     out by construction. Target at position p is predicted from logits[p-1].
 
-    `logits` has a row per position of `seq`, or only the response_rows(seq),
-    as forward(..., rows=response_rows(seq)) returns them; there are always
-    fewer of those, since every sequence has instruction rows. A packed
+    `logits` has a row per position of `seq`, or only each segment's tail,
+    as forward(..., tails=response_tails(seq)) returns them; a tail's rows
+    that predict no response target, such as its last, are skipped. A packed
     `seq` gives the sum, over its examples' response spans, of each span's
     NLL: the mean or the sum over its targets."""
     spans = _response_spans(seq)
-    if logits.shape[0] == seq.length:
-        logits = ag.take_rows(logits, response_rows(seq))
+    rows = np.concatenate([np.arange(a - 1, b - 1) for a, b in spans])
+    if logits.shape[0] != seq.length:
+        rows = np.searchsorted(tail_rows(seq.segments or [seq.length],
+                                         response_tails(seq)), rows)
     counts = [b - a for a, b in spans]
     targets = np.concatenate([seq.ids[a:b] for a, b in spans])
-    picked = ag.pick(ag.log_softmax_rows(logits), np.arange(targets.size),
-                     targets)
+    picked = ag.pick(ag.log_softmax_rows(logits), rows, targets)
     weights = np.repeat([-1.0 / c if reduction == "mean" else -1.0
                          for c in counts], counts)
     return ag.sum_all(ag.mul(picked, weights))
@@ -183,7 +187,7 @@ def _pack_nlls(examples, params, dec_cfg, mod_cfg, vocab, cfg, reduction):
     for pack in _packs(examples, limit, mod_cfg, vocab):
         seq = build_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
         logits = forward(seq, params, dec_cfg, segments=seq.segments,
-                         rows=response_rows(seq))
+                         tails=response_tails(seq))
         yield response_nll(logits, seq, reduction=reduction)
 
 

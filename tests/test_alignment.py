@@ -33,20 +33,29 @@ def attention_oracle(q, k, v, heads=1, causal=False):
     return np.concatenate(outs, axis=1)
 
 
-def segment_mask(segments):
-    """Additive mask for packed sequences of these lengths: each row sees,
-    causally, only the keys of its own sequence."""
-    seg = np.repeat(np.arange(len(segments)), segments)
-    ahead = np.triu(np.ones((seg.size, seg.size), dtype=bool), 1)
-    return np.where((seg[:, None] != seg[None, :]) | ahead, -1e9, 0.0)
+def rule_mask(n, m, segments=None, tails=None):
+    """Additive mask of causal attention's rule, one query row at a time:
+    the m keys are segments of these lengths (one when None), the n queries
+    are each segment's last tails[j] rows (all n in one segment, or every
+    row of each segment, when None), and a query sees its own segment's
+    keys up to its own position."""
+    tails = list(tails or ([n] if segments is None else segments))
+    segments = list(segments or [m])
+    mask = np.full((n, m), -1e9)
+    row, k0 = 0, 0
+    for length, tail in zip(segments, tails):
+        for i in range(tail):
+            mask[row + i, k0:k0 + length - tail + i + 1] = 0.0
+        row, k0 = row + tail, k0 + length
+    return mask
 
 
-def composed_attention(q, k, v, heads=1, causal=False, segments=None):
+def composed_attention(q, k, v, heads=1, causal=False, segments=None,
+                       tails=None):
     """Attention composed from elementary autograd ops, one head at a time:
     the gradient oracle for the single attention node. Products with 0/1
     selector matrices pick each head's columns and put its output back."""
-    mask = (Tensor(segment_mask(segments) if segments is not None
-                   else causal_mask(q.shape[0], k.shape[0]))
+    mask = (Tensor(rule_mask(q.shape[0], k.shape[0], segments, tails))
             if causal else None)
 
     def selector(width, h):  # width×(width/heads), the h-th column group
@@ -168,17 +177,61 @@ class TestAttention:
         want = composed_attention(q, k, v, 2, causal=True, segments=[4, 5]).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n,m,causal,segments", [
-        (6, 6, False, [3, 3]), (4, 6, True, [2, 2]), (6, 6, True, [3, 2])],
-        ids=["not-causal", "after-a-cache", "short-sum"])
+    @pytest.mark.parametrize("segments,tails", [
+        ((33, 33, 33), (1, 1, 1)), ((33, 33, 33), (13, 2, 33)),
+        ((150,), (90,)), ((130, 20), (100, 7)), ((5, 70), (5, 70))],
+        ids=["last-row", "some-rows", "lone-over-a-block", "over-a-block",
+             "all-rows"])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_tails_match_all_rows_and_composed_ops(self, heads, segments,
+                                                   tails):
+        # the queries of a tail call are the same rows of the all-rows call,
+        # forward and backward, and the composed chain under the rule's mask
+        # agrees with both
+        rng = np.random.default_rng(18)
+        m = sum(segments)
+        rows = np.concatenate([np.arange(e - t, e) for e, t in
+                               zip(np.cumsum(segments), tails)])
+        data = {"q": rng.normal(size=(m, 8)), "k": rng.normal(size=(m, 8)),
+                "v": rng.normal(size=(m, 12))}
+        upstream = np.zeros((m, 12))
+        upstream[rows] = rng.normal(size=(rows.size, 12))
+        results = []
+        for op, queries, tail in ((attention, slice(None), None),
+                                  (attention, rows, tails),
+                                  (composed_attention, rows, tails)):
+            p = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+            q = Tensor(data["q"][queries], requires_grad=True)
+            out = op(q, p["k"], p["v"], heads, causal=True, segments=segments,
+                     tails=tail)
+            ag.sum_all(ag.mul(out, upstream[queries])).backward()
+            results.append([out.data[rows if tail is None else slice(None)],
+                            q.grad[rows if tail is None else slice(None)],
+                            p["k"].grad, p["v"].grad])
+        for want in results[1:]:
+            for got, exp in zip(results[0], want):
+                np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,causal,segments,tails", [
+        (6, 6, False, [3, 3], None), (4, 6, True, [2, 2], None),
+        (6, 6, True, [3, 2], None), (2, 6, False, None, [2]),
+        (5, 6, True, [3, 3], [1, 4]), (3, 6, True, [3, 3], [0, 3]),
+        (4, 6, True, [3, 3], [2, 1]), (2, 6, True, [3, 3], [2])],
+        ids=["not-causal", "after-a-cache", "short-sum", "tails-not-causal",
+             "tail-over-its-segment", "empty-tail", "tails-short-sum",
+             "one-tail-for-two-segments"])
     def test_segments_need_a_causal_call_over_its_own_rows(self, n, m, causal,
-                                                           segments):
+                                                           segments, tails):
+        # the rule's rejections: segments and tails only in a causal call,
+        # the segments cover the keys, and each segment has a tail of 1 to
+        # all of its rows, the tails together covering the queries
         with pytest.raises(ShapeMismatch):
             attention(Tensor(np.ones((n, 4))), Tensor(np.ones((m, 4))),
-                      Tensor(np.ones((m, 4))), causal=causal, segments=segments)
+                      Tensor(np.ones((m, 4))), causal=causal, segments=segments,
+                      tails=tails)
 
     @staticmethod
-    def causal_finite_diff(n, m):
+    def causal_finite_diff(n, m, segments=None, tails=None):
         rng = np.random.default_rng(13)
         params = {"q": Tensor(rng.normal(size=(n, 4)), requires_grad=True),
                   "k": Tensor(rng.normal(size=(m, 4)), requires_grad=True),
@@ -186,7 +239,8 @@ class TestAttention:
         weights = Tensor(rng.normal(size=(n, 6)))
 
         def fn(p):
-            out = attention(p["q"], p["k"], p["v"], heads=2, causal=True)
+            out = attention(p["q"], p["k"], p["v"], heads=2, causal=True,
+                            segments=segments, tails=tails)
             return ag.sum_all(ag.mul(out, weights))
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
@@ -197,6 +251,10 @@ class TestAttention:
 
     def test_causal_finite_diff_across_blocks(self):
         self.causal_finite_diff(70, 75)
+
+    def test_tail_finite_diff_across_blocks(self):
+        # the first segment's tail of 68 queries runs in two row blocks
+        self.causal_finite_diff(71, 84, segments=[75, 9], tails=[68, 3])
 
     def test_causal_node_keeps_lower_blocks_only(self):
         # what one causal node holds for its backward: each row block's

@@ -12,7 +12,7 @@ from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, KVCache, ModelParams, embed_tokens,
                               forward, generate_greedy, init_params)
 from mmtune.dataset import InstructionExample
-from mmtune.errors import InvalidId, SequenceTooLong
+from mmtune.errors import InvalidId, SequenceTooLong, ShapeMismatch
 from mmtune.tokenizer import EOS, N_IDS, Vocab
 from mmtune.training import build_sequence
 from conftest import assemble_one
@@ -150,16 +150,31 @@ class TestForward:
         with pytest.raises(SequenceTooLong):
             forward(packed, tiny_params, tiny_dec_cfg, segments=[3, limit + 1])
 
-    @pytest.mark.parametrize("rows", [np.s_[3:9], np.array([0, 4, 5, 11])],
-                             ids=["slice", "index"])
+    @pytest.mark.parametrize("tails", ["last", "some", "all"])
     @pytest.mark.parametrize("segments", [None, [5, 7]], ids=["one", "packed"])
-    def test_rows_equal_full_logits_at_rows(self, tiny_params, tiny_dec_cfg,
-                                            rows, segments):
-        seq = text_sequence(range(20, 32), tiny_params)
-        full = forward(seq, tiny_params, tiny_dec_cfg, segments=segments).data
-        got = forward(seq, tiny_params, tiny_dec_cfg, segments=segments,
-                      rows=rows).data
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_tails_equal_full_logits_at_their_rows(self, tiny_mod_cfg, layers,
+                                                   segments, tails):
+        # the last layer runs Q onwards on each segment's tail alone; in a
+        # one-layer model that is its only layer
+        cfg = DecoderConfig(d_e=16, layers=layers, heads=2, d_ff=32,
+                            max_seq_len=96)
+        params = init_params(cfg, tiny_mod_cfg, np.random.default_rng(5))
+        seq = text_sequence(range(20, 32), params)
+        lengths = segments or [12]
+        tails = {"last": [1] * len(lengths), "some": [4, 6][:len(lengths)],
+                 "all": lengths}[tails]
+        full = forward(seq, params, cfg, segments=segments).data
+        got = forward(seq, params, cfg, segments=segments, tails=tails).data
+        rows = cognitive.tail_rows(lengths, tails)
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
+
+    def test_tails_must_fit_their_segments(self, tiny_params, tiny_dec_cfg):
+        seq = text_sequence(range(20, 32), tiny_params)
+        for segments, tails in (([5, 7], [6, 1]), ([5, 7], [2]), (None, [0])):
+            with pytest.raises(ShapeMismatch):
+                forward(seq, tiny_params, tiny_dec_cfg, segments=segments,
+                        tails=tails)
 
     def test_soft_token_equals_embedded_token(self, tiny_params, tiny_dec_cfg):
         # a soft token identical to an embedding row produces identical logits
@@ -335,3 +350,15 @@ class TestKVCache:
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError):
         DecoderConfig(d_e=10, heads=4)
+
+
+def test_group_returns_the_tensors_now_held(tiny_params):
+    # group() finds a prefix's names once, but a tensor replaced in
+    # params.tensors after that is the one it returns
+    group = tiny_params.group("transform.image")
+    assert sorted(group) == ["conv_b", "conv_w", "lin_b", "lin_w"]
+    assert group["lin_w"] is tiny_params["transform.image.lin_w"]
+    new = Tensor(np.zeros_like(group["lin_w"].data), requires_grad=True)
+    tiny_params.tensors["transform.image.lin_w"] = new
+    assert tiny_params.group("transform.image")["lin_w"] is new
+    assert tiny_params.group("align.image") == {}

@@ -1,10 +1,11 @@
 import importlib.util
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
-from mmtune import autograd
+from mmtune import autograd, cognitive
 from mmtune.cognitive import DecoderConfig, generate_greedy, init_params
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
@@ -88,17 +89,86 @@ def tape_nodes(t):
     return len(seen)
 
 
-def test_a_short_pack_builds_in_eleven_nodes():
-    # the benchmark's short workload: packs of three one-media examples,
-    # kinds cycling image/video/audio. Per item a conv1d and a matmul; then
-    # one concat of the queries, one align, one text lookup, and the concat
-    # and the gather that lay the rows out
+def short_pack():
+    """The benchmark's short workload: packs of three one-media examples,
+    kinds cycling image/video/audio, 12-byte responses."""
     dec_cfg, mod_cfg = DecoderConfig(max_seq_len=128), ModalityConfig()
     params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
     pack = [InstructionExample(id=f"s{i}", media=({"kind": kind, "path": f"m{i}"},),
                                instruction="i" * 14, response="r" * 12,
                                source="synthetic")
             for i, kind in enumerate(("image", "video", "audio"))]
+    return pack, params, dec_cfg, mod_cfg
+
+
+def test_a_short_pack_builds_in_eleven_nodes():
+    # per item a conv1d and a matmul; then one concat of the queries, one
+    # align, one text lookup, and the concat and the gather that lay the
+    # rows out
+    pack, params, dec_cfg, mod_cfg = short_pack()
     seq = build_pack(pack, params, dec_cfg, mod_cfg, Vocab(), TrainConfig())
     assert seq.segments == [33, 33, 33]
     assert tape_nodes(seq.embedded) <= 11
+
+
+def gelu_rows(monkeypatch):
+    """Record the rows of each gelu input from here on."""
+    rows = []
+    gelu = autograd.gelu
+
+    def recording_gelu(a):
+        rows.append(a.shape[0])
+        return gelu(a)
+
+    monkeypatch.setattr(autograd, "gelu", recording_gelu)
+    return rows
+
+
+def test_last_layer_runs_only_the_rows_a_loss_reads(monkeypatch):
+    # of each 33-row example, the 13 rows that predict its response and its
+    # final row; the layer before runs on all 99
+    pack, params, dec_cfg, mod_cfg = short_pack()
+    rows = gelu_rows(monkeypatch)
+    _batch_loss_and_grads(pack, params, dec_cfg, mod_cfg, Vocab(),
+                          TrainConfig(), [pack])
+    assert rows[0] == 99
+    assert rows[-1] <= 42, rows
+
+
+def test_prefill_last_layer_runs_one_row(monkeypatch):
+    pack, params, dec_cfg, mod_cfg = short_pack()
+    seq = build_sequence(pack[0], params, dec_cfg, mod_cfg, Vocab(),
+                         with_response=False)
+    rows = gelu_rows(monkeypatch)
+    generate_greedy(seq, 1, params, dec_cfg, eos_id=-1)
+    assert rows == [seq.length, 1]
+
+
+def test_decode_step_makes_the_same_op_calls(monkeypatch):
+    # a one-row step after the prefill asks for its only row, so it takes no
+    # row selection: its op calls are those of a plain two-layer forward
+    dec_cfg, mod_cfg = DecoderConfig(), ModalityConfig()
+    params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
+    ex = make_examples(1)[0]
+    seq = build_sequence(ex, params, dec_cfg, mod_cfg, Vocab(),
+                         with_response=False)
+    calls, after_each_forward = Counter(), []
+    for name, fn in vars(autograd).items():
+        if (callable(fn) and not isinstance(fn, type) and name[0] != "_"
+                and fn.__module__ == autograd.__name__ and name != "no_grad"):
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(autograd, name, counting)
+    forward = cognitive.forward
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        after_each_forward.append(Counter(calls))
+        return out
+
+    monkeypatch.setattr(cognitive, "forward", recording_forward)
+    generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
+    step = after_each_forward[1] - after_each_forward[0]
+    assert step == Counter(matmul=13, layernorm_rows=5, add=5, attention=2,
+                           gelu=2, embedding=2, transpose=1), step
