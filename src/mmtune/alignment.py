@@ -79,12 +79,16 @@ def align(h_prime: Tensor, embed_matrix: Tensor, freeze_embedding: bool = False,
 
 @dataclass
 class InstructionSequence:
-    """The model input of one sequence or a pack: soft tokens, then text."""
+    """The model input of one sequence or a pack: soft tokens, then text.
+    Per packed sequence, `segments` holds its length and `tails` the count
+    of its last rows that its loss reads: from the row that predicts its
+    first response token to its end, or its last row alone."""
 
     embedded: Tensor               # S×d_e
     spans: list = field(default_factory=list)   # (tag, start, stop)
     ids: np.ndarray = None         # length S; -1 at soft-token positions
-    segments: list = None          # lengths of the packed sequences
+    segments: list = None          # one sequence of seq.length when None
+    tails: list = None             # len(response) + 1, or 1 without one
 
     @property
     def length(self) -> int:
@@ -103,11 +107,12 @@ def assemble_prefix(soft: list, items: list, texts: list,
     The rows of the tensors in `soft`, stacked, hold an equal block of soft
     tokens for each (sequence index, kind) of `items`, in that order. `embed`
     maps ids to their rows; it runs once, on all the text ids, and one gather
-    then places the soft and the text rows."""
+    then places the soft and the text rows. It records each sequence's
+    length and loss tail."""
     n_soft = sum(t.shape[0] for t in soft)
     block = n_soft // max(len(items), 1)
     rank = {item: b for b, item in enumerate(items)}
-    order, ids, text, spans, segments = [], [], [], [], []
+    order, ids, text, spans, segments, tails = [], [], [], [], [], []
     for j, (instr, resp) in enumerate(texts):
         if not len(instr):
             raise MissingText("instruction ids must be non-empty")
@@ -123,9 +128,10 @@ def assemble_prefix(soft: list, items: list, texts: list,
             order += range(first, first + len(part))
             ids += part
         segments.append(sum(len(part) for _, _, part in parts))
+        tails.append(len(resp) + 1 if resp is not None else 1)
     rows = soft + [embed(text)]
     rows = rows[0] if len(rows) == 1 else ag.concat_rows(rows)
     if order != list(range(len(order))):  # else laid out already
         rows = ag.take_rows(rows, np.array(order))
     return InstructionSequence(embedded=rows, spans=spans, segments=segments,
-                               ids=np.array(ids, dtype=np.int64))
+                               tails=tails, ids=np.array(ids, dtype=np.int64))

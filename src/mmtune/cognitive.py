@@ -142,24 +142,6 @@ class KVCache:
         return cls(np.zeros((cfg.layers, 2, cfg.max_seq_len, cfg.d_e)))
 
 
-def _self_attention(h: Tensor, params: ModelParams, layer: int,
-                    cfg: DecoderConfig, cache: KVCache | None,
-                    segments, tails, rows) -> Tensor:
-    p = f"layers.{layer}.attn"
-    q = ag.matmul(h if rows is None else ag.take_rows(h, rows),
-                  params[f"{p}.wq"])
-    k = ag.matmul(h, params[f"{p}.wk"])
-    v = ag.matmul(h, params[f"{p}.wv"])
-    if cache is not None:
-        t, n = cache.t, cache.t + h.shape[0]
-        cache.kv[layer, 0, t:n] = k.data
-        cache.kv[layer, 1, t:n] = v.data
-        k, v = Tensor(cache.kv[layer, 0, :n]), Tensor(cache.kv[layer, 1, :n])
-    return ag.matmul(ag.attention(q, k, v, cfg.heads, causal=True,
-                                  segments=segments, tails=tails),
-                     params[f"{p}.wo"])
-
-
 def tail_rows(segments, tails) -> np.ndarray:
     """The numbers of the last tails[j] rows of each segment j, in order."""
     ends = np.cumsum(segments)
@@ -168,40 +150,49 @@ def tail_rows(segments, tails) -> np.ndarray:
 
 def forward(seq: InstructionSequence, params: ModelParams,
             cfg: DecoderConfig, cache: KVCache | None = None,
-            segments=None, tails=None) -> Tensor:
+            tails=None) -> Tensor:
     """Causal decoder over the assembled sequence; returns its logits.
 
-    With a `cache` of the first cache.t positions, `seq` holds only the rows
-    after them, one segment, and their keys and values join the cache.
-    Without a cache, `segments` gives the lengths of sequences packed one
-    after another into `seq` (one when None): each attends only to itself,
-    with positions from 0, so its rows come out as if it ran alone.
-    `tails`, one count per segment, returns only the logits of each
-    segment's last tails[j] rows (every row's when None). The last layer
-    then runs ln1 and the K and V projections on every row, which those
-    rows attend to, and Q onwards on those rows alone."""
+    Without a cache, each of the sequences packed into `seq` (its
+    `segments`) attends only to itself, with positions from 0, so its rows
+    come out as if it ran alone. With a `cache` of the first cache.t
+    positions, `seq` is one segment of the rows after them, and their keys
+    and values join the cache. `tails`, one count per segment, returns only
+    the logits of each segment's last tails[j] rows (every row's when None).
+    The last layer then runs ln1 and the K and V projections on every row,
+    which those rows attend to, and Q onwards on those rows alone."""
     t = cache.t if cache is not None else 0
-    lengths = segments or [seq.length]
-    n = t + max(lengths)
+    lengths = (seq.segments if cache is None else None) or [seq.length]
+    n = t + max(lengths)  # with a cache, the rows it holds after this call
     if n > cfg.max_seq_len:
         raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
     pos = ag.embedding(params["pos"], np.arange(t, t + seq.length)
-                       if segments is None else
-                       np.concatenate([np.arange(s) for s in segments]))
+                       if len(lengths) == 1 else
+                       np.concatenate([np.arange(s) for s in lengths]))
     x = ag.add(seq.embedded, pos)
     last = cfg.layers - 1 if tails and list(tails) != lengths else None
     for i in range(cfg.layers):
         p = f"layers.{i}"
         h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         rows = tail_rows(lengths, tails) if i == last else None
+        q = ag.matmul(h if rows is None else ag.take_rows(h, rows),
+                      params[f"{p}.attn.wq"])
+        k = ag.matmul(h, params[f"{p}.attn.wk"])
+        v = ag.matmul(h, params[f"{p}.attn.wv"])
+        if cache is not None:
+            cache.kv[i, 0, t:n] = k.data
+            cache.kv[i, 1, t:n] = v.data
+            k, v = Tensor(cache.kv[i, 0, :n]), Tensor(cache.kv[i, 1, :n])
+        a = ag.attention(q, k, v, cfg.heads, causal=True,
+                         segments=None if cache is not None else lengths,
+                         tails=tails if i == last else None)
         x = ag.add(x if rows is None else ag.take_rows(x, rows),
-                   _self_attention(h, params, i, cfg, cache, segments,
-                                   tails if i == last else None, rows))
+                   ag.matmul(a, params[f"{p}.attn.wo"]))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
         x = ag.add(x, ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
     if cache is not None:
-        cache.t = t + seq.length
+        cache.t = n
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])
     return ag.matmul(x, ag.transpose(params.embedding))
 
@@ -210,12 +201,14 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
                     params: ModelParams, cfg: DecoderConfig,
                     eos_id: int = EOS) -> list:
     """Deterministic argmax decoding; stops at EOS or max_new tokens. Runs
-    without a tape: the prefix runs once for its last row, then one row per token."""
+    without a tape: the prefix runs once for its last row, then one row per
+    token. The last new token is returned but never fed back, so the prefix
+    and max_new - 1 tokens must fit in max_seq_len."""
     if prefix.span("response-text") is not None:
         raise ValueError("prefix must not contain a response span")
-    if prefix.length + max_new > cfg.max_seq_len:
-        raise SequenceTooLong(
-            f"prefix {prefix.length} + max_new {max_new} > max {cfg.max_seq_len}")
+    if prefix.length + max_new - 1 > cfg.max_seq_len:
+        raise SequenceTooLong(f"prefix {prefix.length} + max_new {max_new} "
+                              f"- 1 > max {cfg.max_seq_len}")
     cache = KVCache.empty(cfg)
     generated: list = []
     seq = prefix

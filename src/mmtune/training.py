@@ -122,32 +122,20 @@ def _response_spans(seq: InstructionSequence) -> list:
     return spans
 
 
-def response_tails(seq: InstructionSequence) -> list:
-    """Per segment of `seq`, the count of its last rows that response_nll
-    reads: from the row that predicts its first response token to its end.
-    A segment's last row predicts nothing, but keeps the rows a suffix."""
-    ends = np.cumsum(seq.segments or [seq.length])
-    starts = np.array([a for a, _ in _response_spans(seq)])
-    first = ends.copy()
-    np.minimum.at(first, np.searchsorted(ends, starts, side="right"), starts)
-    return (ends - first + 1).tolist()
-
-
 def response_nll(logits: Tensor, seq: InstructionSequence,
                  reduction: str = "mean") -> Tensor:
     """NLL over response-span targets only; every other position is masked
     out by construction. Target at position p is predicted from logits[p-1].
 
     `logits` has a row per position of `seq`, or only each segment's tail,
-    as forward(..., tails=response_tails(seq)) returns them; a tail's rows
-    that predict no response target, such as its last, are skipped. A packed
-    `seq` gives the sum, over its examples' response spans, of each span's
-    NLL: the mean or the sum over its targets."""
+    as forward(..., tails=seq.tails) returns them; a tail's rows that predict
+    no response target, such as its last, are skipped. A packed `seq` gives
+    the sum, over its examples' response spans, of each span's NLL: the mean
+    or the sum over its targets."""
     spans = _response_spans(seq)
     rows = np.concatenate([np.arange(a - 1, b - 1) for a, b in spans])
     if logits.shape[0] != seq.length:
-        rows = np.searchsorted(tail_rows(seq.segments or [seq.length],
-                                         response_tails(seq)), rows)
+        rows = np.searchsorted(tail_rows(seq.segments, seq.tails), rows)
     counts = [b - a for a, b in spans]
     targets = np.concatenate([seq.ids[a:b] for a, b in spans])
     picked = ag.pick(ag.log_softmax_rows(logits), rows, targets)
@@ -186,8 +174,7 @@ def _pack_nlls(examples, params, dec_cfg, mod_cfg, vocab, cfg, reduction):
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
     for pack in _packs(examples, limit, mod_cfg, vocab):
         seq = build_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
-        logits = forward(seq, params, dec_cfg, segments=seq.segments,
-                         tails=response_tails(seq))
+        logits = forward(seq, params, dec_cfg, tails=seq.tails)
         yield response_nll(logits, seq, reduction=reduction)
 
 
@@ -246,17 +233,17 @@ def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
 def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
                           micro_batches):
     """Accumulate gradients of the mean loss over `examples`, computed in
-    micro-batch chunks. Returns (loss value, grads dict).
+    micro-batch chunks. Returns (loss value, grads dict), whose arrays are
+    the parameters' own .grad, zeros where a parameter got no gradient.
 
     Each micro-batch runs in packs of consecutive examples whose rows total
     at most min(cfg.max_seq_len, dec_cfg.max_seq_len), one backward a pack.
     So at most one pack's tape is alive at a time, and it is no larger than
     one max-length example's, whatever the micro-batch size."""
     n_total = len(examples)
-    grads = {name: np.zeros_like(params[name].data) for name in params.names()}
+    params.zero_grad()
     total_loss = 0.0
     for micro in micro_batches:
-        params.zero_grad()
         for nll in _pack_nlls(micro, params, dec_cfg, mod_cfg, vocab, cfg,
                               cfg.loss_reduction):
             # normalized by the full batch size, so grads accumulated over
@@ -264,11 +251,10 @@ def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
             loss = ag.mul(nll, 1.0 / n_total)
             loss.backward()
             total_loss += float(loss.data)
-        for name in params.names():
-            g = params[name].grad
-            if g is not None:
-                grads[name] += g
-    return total_loss, grads
+    for t in params.tensors.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+    return total_loss, {name: params[name].grad for name in params.names()}
 
 
 def train_step(batch, params: ModelParams, opt_state: AdamState,

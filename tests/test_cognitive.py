@@ -111,7 +111,8 @@ class TestForward:
         lengths = [5, 70, 9]
         packed, seqs = self.packed(
             [rng.integers(4, 260, size=n).tolist() for n in lengths], tiny_params)
-        got = forward(packed, tiny_params, tiny_dec_cfg, segments=lengths).data
+        packed.segments = lengths
+        got = forward(packed, tiny_params, tiny_dec_cfg).data
         start = 0
         for seq in seqs:
             want = forward(seq, tiny_params, tiny_dec_cfg).data
@@ -127,8 +128,9 @@ class TestForward:
         bounds = np.cumsum([0] + lengths)
 
         def logits(id_lists):
-            return forward(self.packed(id_lists, tiny_params)[0], tiny_params,
-                           tiny_dec_cfg, segments=lengths).data
+            packed = self.packed(id_lists, tiny_params)[0]
+            packed.segments = lengths
+            return forward(packed, tiny_params, tiny_dec_cfg).data
 
         base = logits(ids)
         for j, n in enumerate(lengths):
@@ -144,11 +146,12 @@ class TestForward:
                                                    tiny_dec_cfg):
         limit = tiny_dec_cfg.max_seq_len
         packed, _ = self.packed([[4] * 60, [5] * 60], tiny_params)
-        assert forward(packed, tiny_params, tiny_dec_cfg,
-                       segments=[60, 60]).shape == (120, 260)
+        packed.segments = [60, 60]
+        assert forward(packed, tiny_params, tiny_dec_cfg).shape == (120, 260)
         packed, _ = self.packed([[4] * 3, [5] * (limit + 1)], tiny_params)
+        packed.segments = [3, limit + 1]
         with pytest.raises(SequenceTooLong):
-            forward(packed, tiny_params, tiny_dec_cfg, segments=[3, limit + 1])
+            forward(packed, tiny_params, tiny_dec_cfg)
 
     @pytest.mark.parametrize("tails", ["last", "some", "all"])
     @pytest.mark.parametrize("segments", [None, [5, 7]], ids=["one", "packed"])
@@ -164,17 +167,18 @@ class TestForward:
         lengths = segments or [12]
         tails = {"last": [1] * len(lengths), "some": [4, 6][:len(lengths)],
                  "all": lengths}[tails]
-        full = forward(seq, params, cfg, segments=segments).data
-        got = forward(seq, params, cfg, segments=segments, tails=tails).data
+        seq.segments = lengths
+        full = forward(seq, params, cfg).data
+        got = forward(seq, params, cfg, tails=tails).data
         rows = cognitive.tail_rows(lengths, tails)
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
 
     def test_tails_must_fit_their_segments(self, tiny_params, tiny_dec_cfg):
         seq = text_sequence(range(20, 32), tiny_params)
         for segments, tails in (([5, 7], [6, 1]), ([5, 7], [2]), (None, [0])):
+            seq.segments = segments
             with pytest.raises(ShapeMismatch):
-                forward(seq, tiny_params, tiny_dec_cfg, segments=segments,
-                        tails=tails)
+                forward(seq, tiny_params, tiny_dec_cfg, tails=tails)
 
     def test_soft_token_equals_embedded_token(self, tiny_params, tiny_dec_cfg):
         # a soft token identical to an embedding row produces identical logits
@@ -304,11 +308,15 @@ class TestKVCache:
         return want_ids
 
     def test_fills_max_seq_len(self, monkeypatch, model, prefix):
+        # the last new token is never fed back, so one more than the free
+        # rows still fits
         cfg, params = model
-        max_new = cfg.max_seq_len - prefix.length
-        ids = self.check_against_oracle(monkeypatch, prefix, max_new, params,
-                                        cfg, eos_id=-1)
-        assert len(ids) == max_new
+        free = cfg.max_seq_len - prefix.length
+        for max_new in (free, free + 1):
+            with monkeypatch.context() as patch:
+                ids = self.check_against_oracle(patch, prefix, max_new, params,
+                                                cfg, eos_id=-1)
+            assert len(ids) == max_new
 
     def test_early_eos(self, monkeypatch, model, prefix):
         cfg, params = model

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -18,15 +19,21 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "perfbench", "tracer.py")
 
 
+def load_tracer(monkeypatch):
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
+    spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     # Tracer() looks up every function the traced benchmark run wraps, so a
     # rename or deletion in src/ fails here instead of inside the benchmark;
     # one build_sequence call then shows each stage is wrapped where it is
     # called from, so its per-layer metrics do not silently read 0
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = load_tracer(monkeypatch)
     dec_cfg, mod_cfg = DecoderConfig(d_e=16, heads=2, d_ff=32), ModalityConfig()
     params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
     ex = InstructionExample(id="t", media=({"kind": "video", "path": "v",
@@ -49,6 +56,25 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     # encoders.encode.unique_ratio counts these, read off encode's arguments
     fingerprint = MediaRef.from_path("video", "v").fingerprint
     assert record.media == {("video", fingerprint, 9)}
+
+
+def test_benchmark_tracer_sees_each_pack_of_a_step(monkeypatch):
+    # two packs of three, one a micro-batch: a training step calls the
+    # layout, the model and the loss once a pack, each under the name the
+    # tracer wraps, so the benchmark's per-layer view of training does not
+    # silently read 0
+    tracer = load_tracer(monkeypatch).Tracer()
+    pack, params, dec_cfg, mod_cfg = short_pack()
+    examples = pack + [dataclasses.replace(ex, id=ex.id + "b") for ex in pack]
+    tracer.start()
+    try:
+        _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, Vocab(),
+                              TrainConfig(), [examples[:3], examples[3:]])
+    finally:
+        record = tracer.stop()
+    for name in ("alignment.assemble_prefix", "cognitive.forward",
+                 "training.response_nll"):
+        assert record.calls[name] == 2, (name, record.calls[name])
 
 
 def test_no_add_in_the_model_broadcasts(monkeypatch, tiny_mod_cfg):

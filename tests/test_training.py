@@ -136,6 +136,23 @@ class TestGradAccumulation:
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
 
+    def test_grads_are_the_parameters_own(self, tiny_dec_cfg, tiny_mod_cfg,
+                                          vocab):
+        # the step's gradients live in .grad alone; a parameter the batch
+        # does not reach, such as the transform of an absent kind, gets zeros
+        params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(3))
+        examples = make_examples(6, kinds=("image",))
+        _, grads = _batch_loss_and_grads(
+            examples, params, tiny_dec_cfg, tiny_mod_cfg, vocab,
+            TrainConfig(max_seq_len=96), [examples[:4], examples[4:]])
+        assert list(grads) == params.names()
+        for name in params.names():
+            assert grads[name] is params[name].grad, name
+        for kind in ("video", "audio"):
+            for name, t in params.group(f"transform.{kind}").items():
+                assert t.grad.shape == t.shape and not t.grad.any(), name
+        assert params["transform.image.lin_w"].grad.any()
+
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     def test_packs_match_one_example_per_backward(self, tiny_dec_cfg,
                                                   tiny_mod_cfg, vocab,
@@ -356,6 +373,54 @@ class TestBuildPack:
                 else:
                     np.testing.assert_allclose(grads[name], want, rtol=0,
                                                atol=1e-12, err_msg=name)
+
+
+def response_tails(seq):
+    """The oracle for assemble_prefix's tails, as training worked them out
+    from the spans: per segment, the count of its last rows from the row
+    that predicts its first response token to its end (1 without one)."""
+    ends = np.cumsum(seq.segments)
+    starts = np.array([a for tag, a, _ in seq.spans if tag == "response-text"],
+                      dtype=np.int64)
+    first = ends.copy()
+    np.minimum.at(first, np.searchsorted(ends, starts, side="right"), starts)
+    return (ends - first + 1).tolist()
+
+
+class TestPackLayout:
+    @pytest.mark.parametrize("with_response", [True, False],
+                             ids=["response", "prompt"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_tails_match_the_spans(self, tiny_dec_cfg, tiny_mod_cfg, vocab,
+                                   heads, with_response):
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=heads)
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(5))
+        for pack in media_packs(heads):
+            seq = build_pack(pack, params, dec_cfg, tiny_mod_cfg, vocab,
+                             with_response=with_response)
+            assert seq.tails == response_tails(seq)
+            if not with_response:
+                assert seq.tails == [1] * len(pack)
+
+    def test_forward_keeps_the_examples_of_a_pack_apart(self, tiny_dec_cfg,
+                                                        tiny_mod_cfg, vocab):
+        # forward reads the pack's segments itself: called with nothing
+        # else, each example's rows are those of its own forward
+        params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(6))
+        packs = [p for p in media_packs(7) if len(p) > 1]
+        assert {len(p) for p in packs} == {2, 3}
+        for pack in packs:
+            seq = build_pack(pack, params, tiny_dec_cfg, tiny_mod_cfg, vocab)
+            got = forward(seq, params, tiny_dec_cfg).data
+            start = 0
+            for ex in pack:
+                one = build_sequence(ex, params, tiny_dec_cfg, tiny_mod_cfg,
+                                     vocab)
+                want = forward(one, params, tiny_dec_cfg).data
+                np.testing.assert_allclose(got[start:start + one.length], want,
+                                           rtol=0, atol=1e-12)
+                start += one.length
+            assert start == seq.length
 
 
 def adam_oracle(p, m, v, g, t, lr, cfg):
