@@ -170,11 +170,13 @@ class MockGenerationClient(GenerationClient):
 
     def complete(self, prompt: str, max_tokens: int = 1024,
                  temperature: float = 1.0) -> str:
-        path = os.path.join(self.fixtures_dir, prompt_key(prompt) + ".txt")
-        if not os.path.isfile(path):
-            raise ClientError(f"no fixture for prompt key {prompt_key(prompt)}")
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        key = prompt_key(prompt)
+        try:
+            with open(os.path.join(self.fixtures_dir, key + ".txt"),
+                      encoding="utf-8") as f:
+                return f.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise ClientError(f"no fixture for prompt key {key}") from None
 
 
 @dataclass
@@ -192,6 +194,8 @@ def generate_examples(captions, client: GenerationClient, max_retries: int = 2):
     A client failure that survives all retries aborts with the examples
     built from the captions before it attached to the raised ClientError.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     examples = []
     report = SkipReport()
     for caption in captions:
@@ -261,14 +265,28 @@ def format_stats_table(table: dict) -> str:
 # JSONL interchange
 # ---------------------------------------------------------------------------
 
-def example_to_line(ex: InstructionExample) -> str:
-    return json.dumps(ex.to_dict(), ensure_ascii=False, sort_keys=True)
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_LINE = ('{"id": %s, "instruction": %s, "media": %s, "response": %s, '
+         '"source": %s}')
+
+
+def example_lines(examples):
+    """Each example's JSONL line, without its newline: exactly
+    json.dumps(ex.to_dict(), ensure_ascii=False, sort_keys=True). A run of
+    examples holding one media tuple (a caption's pairs) encodes it once;
+    the last tuple is kept, so a freed tuple is never matched."""
+    last, media = None, None
+    for ex in examples:
+        if ex.media is not last:
+            last, media = ex.media, _encode(ex.media)
+        yield _LINE % (_encode(ex.id), _encode(ex.instruction), media,
+                       _encode(ex.response), _encode(ex.source))
 
 
 def write_examples(path: str, examples) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(example_to_line(ex) + "\n")
+        for line in example_lines(examples):
+            f.write(line + "\n")
 
 
 def _jsonl_records(path: str, parse) -> list:

@@ -20,7 +20,7 @@ from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                         init_params, tail_rows)
-from .dataset import example_to_line
+from .dataset import example_lines
 from .encoders import KINDS, MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
                      NoResponseSpan, SequenceTooLong, VersionMismatch)
@@ -289,8 +289,8 @@ class Checkpoint:
 def _dataset_hash(dataset) -> str:
     """blake2b over the examples' JSONL lines, in the order given."""
     h = hashlib.blake2b(digest_size=16)
-    for ex in dataset:
-        h.update(example_to_line(ex).encode("utf-8") + b"\n")
+    for line in example_lines(dataset):
+        h.update(line.encode("utf-8") + b"\n")
     return h.hexdigest()
 
 
@@ -452,39 +452,41 @@ def _link_checkpoint(src: str, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint, each tensor straight into an array of its own, so
+    a load holds one copy of the payload."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise BadMagic(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise CorruptPayload(f"{path}: checkpoint truncated")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CKPT_VERSION:
-        raise VersionMismatch(f"{path}: checkpoint version {version}")
-    try:
-        (n,) = struct.unpack_from("<I", raw, 8)
-        head = json.loads(raw[12:12 + n])
-        names = [name for name, _ in head["shapes"]]
-        shapes = [shape for _, shape in head["shapes"]] * 3
-        sizes = [math.prod(shape) for shape in shapes]
-        if len(raw) - 12 - n != 8 * sum(sizes):
-            raise ValueError(f"{len(raw) - 12 - n} payload bytes, "
-                             f"expected {8 * sum(sizes)}")
-        parts = np.split(np.frombuffer(raw, dtype="<f8", offset=12 + n),
-                         np.cumsum(sizes)[:-1])
-        # a copy each: views of the file's bytes are read-only, and
-        # adam_update writes parameters, m and v in place
-        arrays = [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
-        k = len(names)
-        params = {name: Tensor(a, requires_grad=True)
-                  for name, a in zip(names, arrays[:k])}
-        state = AdamState(m=dict(zip(names, arrays[k:2 * k])),
-                          v=dict(zip(names, arrays[2 * k:])), t=head["adam_t"])
-        return Checkpoint(dec_cfg=DecoderConfig(**head["decoder"]),
-                          train_cfg=TrainConfig(**head["train"]),
-                          mod_cfg=ModalityConfig(**head["modality"]),
-                          vocab=Vocab(),
-                          params=ModelParams(params), opt_state=state,
-                          step=head["step"], dataset_hash=head["dataset"])
-    except Exception as e:
-        raise CorruptPayload(f"{path}: {e!r}") from e
+        prefix = f.read(12)
+        if prefix[:4] != _CKPT_MAGIC:
+            raise BadMagic(f"{path}: bad checkpoint magic {prefix[:4]!r}")
+        if len(prefix) < 8:
+            raise CorruptPayload(f"{path}: checkpoint truncated")
+        (version,) = struct.unpack_from("<I", prefix, 4)
+        if version != _CKPT_VERSION:
+            raise VersionMismatch(f"{path}: checkpoint version {version}")
+        try:
+            (n,) = struct.unpack_from("<I", prefix, 8)
+            head = json.loads(f.read(n))
+            names = [name for name, _ in head["shapes"]]
+            shapes = [shape for _, shape in head["shapes"]] * 3
+            expected = 8 * sum(math.prod(shape) for shape in shapes)
+            payload = os.fstat(f.fileno()).st_size - 12 - n
+            if payload != expected:
+                raise ValueError(f"{payload} payload bytes, expected {expected}")
+            arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
+            for a in arrays:
+                if f.readinto(a) != a.nbytes:
+                    raise ValueError("payload ends early")
+            k = len(names)
+            params = {name: Tensor(a, requires_grad=True)
+                      for name, a in zip(names, arrays[:k])}
+            state = AdamState(m=dict(zip(names, arrays[k:2 * k])),
+                              v=dict(zip(names, arrays[2 * k:])),
+                              t=head["adam_t"])
+            return Checkpoint(dec_cfg=DecoderConfig(**head["decoder"]),
+                              train_cfg=TrainConfig(**head["train"]),
+                              mod_cfg=ModalityConfig(**head["modality"]),
+                              vocab=Vocab(),
+                              params=ModelParams(params), opt_state=state,
+                              step=head["step"], dataset_hash=head["dataset"])
+        except Exception as e:
+            raise CorruptPayload(f"{path}: {e!r}") from e

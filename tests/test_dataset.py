@@ -2,16 +2,18 @@ import json
 import os
 import re
 import shutil
+import types
 
 import pytest
 
 from mmtune.dataset import (CaptionRecord, InstructionExample,
-                            MockGenerationClient, build_prompt,
+                            MockGenerationClient, build_prompt, example_lines,
                             format_stats_table, generate_examples, mix,
                             parse_qa_pairs, prompt_key, read_captions,
                             read_examples, stats, write_examples)
 from mmtune.errors import (ClientError, EmptyCaption, EmptyDataset,
                            NoPairsFound, SchemaError, SourceTooSmall)
+from mmtune.training import _dataset_hash
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -159,6 +161,60 @@ class TestGenerateExamples:
         assert len(examples) == 1
         assert calls["n"] == 3
 
+    def test_negative_retries_rejected_before_any_call(self):
+        class Counting(MockGenerationClient):
+            calls = 0
+
+            def __init__(self):
+                self.fixtures_dir = "unused"
+
+            def complete(self, prompt, **kw):
+                Counting.calls += 1
+                return "Q: q\nA: a"
+
+        with pytest.raises(ValueError, match="max_retries"):
+            generate_examples([caption()], Counting(), max_retries=-1)
+        assert Counting.calls == 0
+
+
+class TestMockClient:
+    @staticmethod
+    def no_fixture(tmp_path, as_dir):
+        """A fixtures directory without the fixture for caption(); when
+        `as_dir`, a directory stands at the fixture's path."""
+        key = prompt_key(build_prompt(caption()))
+        if as_dir:
+            (tmp_path / f"{key}.txt").mkdir()
+        return key, str(tmp_path)
+
+    @pytest.mark.parametrize("as_dir", [False, True], ids=["missing", "directory"])
+    def test_no_fixture_names_key(self, tmp_path, as_dir):
+        key, fixtures = self.no_fixture(tmp_path, as_dir)
+        with pytest.raises(ClientError, match=f"^no fixture for prompt key {key}$"):
+            MockGenerationClient(fixtures).complete(build_prompt(caption()))
+
+    def test_fixtures_path_not_a_directory(self, tmp_path):
+        (tmp_path / "file").write_text("x")
+        with pytest.raises(ClientError, match="no fixture for prompt key"):
+            MockGenerationClient(str(tmp_path / "file")).complete("p")
+
+    @pytest.mark.parametrize("as_dir", [False, True], ids=["missing", "directory"])
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_retried_then_partial_attached(self, tmp_path, as_dir, max_retries):
+        _, fixtures = self.no_fixture(tmp_path, as_dir)
+        calls = []
+
+        class Counting(MockGenerationClient):
+            def complete(self, prompt, **kw):
+                calls.append(prompt)
+                return super().complete(prompt, **kw)
+
+        with pytest.raises(ClientError, match="c1") as exc:
+            generate_examples([caption()], Counting(fixtures),
+                              max_retries=max_retries)
+        assert len(calls) == max_retries + 1
+        assert exc.value.partial == []
+
 
 def ex(i, source="s", instruction="what is this", response="a thing"):
     return InstructionExample(id=f"e{i}", media=({"kind": "image", "path": "p"},),
@@ -207,6 +263,77 @@ class TestStats:
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             stats([])
+
+
+def json_dumps_line(ex):
+    """The line format example_lines must reproduce byte for byte."""
+    return json.dumps(ex.to_dict(), ensure_ascii=False, sort_keys=True)
+
+
+BASE = dict(id="e0", media=({"kind": "image", "path": "a.jpg"},),
+            instruction="q", response="a", source="s")
+
+
+class TestExampleLines:
+    @pytest.mark.parametrize("fields", [
+        dict(instruction="Qu'est-ce que c'est ? 这是什么",
+             response="Ünïcödé — ✓ 🙂"),
+        dict(instruction='say "hi" \\ there\nnext',
+             response="tab\there\r\x00\x1f\x7f"),
+        dict(media=({"kind": "video", "path": "v.mp4", "frames": 8},)),
+        dict(media=({"path": "b.jpg", "kind": "image"},
+                    {"path": "c.wav", "kind": "audio", "extra": [1, "x"]})),
+        dict(media=()),
+        dict(id=7),
+        dict(source="Ä\u2028\u2029"),
+    ], ids=["non-ascii", "escapes", "video-frames", "unsorted-extra-key",
+            "empty-media", "int-id", "source-separators"])
+    def test_matches_json_dumps(self, fields):
+        ex = InstructionExample(**{**BASE, **fields})
+        assert list(example_lines([ex])) == [json_dumps_line(ex)]
+
+    def test_shared_and_equal_media_runs(self):
+        shared = ({"kind": "video", "path": "v.mp4", "frames": 3},)
+        equal = ({"kind": "video", "path": "v.mp4", "frames": 3},)
+        other = ({"path": "p.jpg", "kind": "image"},)
+
+        def make(i, media):
+            return InstructionExample(id=f"e{i}", media=media, instruction=f"q{i}",
+                                      response=f"a{i}", source="s")
+
+        examples = [make(0, shared), make(1, shared), make(2, equal),
+                    make(3, other), make(4, shared), make(5, shared),
+                    make(6, ())]
+        assert list(example_lines(examples)) == [json_dumps_line(e)
+                                                 for e in examples]
+
+    def test_freed_media_not_matched(self):
+        # one record whose media tuple is freed before the next is made, so
+        # the next may land at the freed tuple's address: an id()-keyed
+        # cache would match it and repeat the previous encoding
+        rec, want = types.SimpleNamespace(instruction="q", response="a",
+                                          source="s"), []
+
+        def records():
+            for i in range(50):
+                rec.media = None
+                rec.id, rec.media = f"e{i}", ({"kind": "image",
+                                               "path": f"{i}.jpg"},)
+                want.append(json.dumps(vars(rec), ensure_ascii=False,
+                                       sort_keys=True))
+                yield rec
+
+        assert list(example_lines(records())) == want
+
+    def test_dataset_hash_pinned(self):
+        # blake2b-128 of the golden file's bytes: checkpoints written before
+        # the line builder changed keep resuming on the same data
+        examples = read_examples(os.path.join(DATA, "golden_build.jsonl"))
+        assert _dataset_hash(examples) == "a46afeb75dc8109f059c7b5569c822a8"
+        caps = read_captions(os.path.join(DATA, "captions.jsonl"))
+        built, _ = generate_examples(
+            caps, MockGenerationClient(os.path.join(DATA, "fixtures")))
+        assert _dataset_hash(built) == "a46afeb75dc8109f059c7b5569c822a8"
 
 
 class TestJsonl:

@@ -15,7 +15,7 @@ from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
                               init_params)
 from mmtune.dataset import InstructionExample
-from mmtune.encoders import KINDS, MediaRef, encode
+from mmtune.encoders import KINDS, MediaRef, ModalityConfig, encode
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            EmptyDataset, NoResponseSpan, SequenceTooLong,
                            VersionMismatch)
@@ -24,6 +24,7 @@ from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              build_sequence, evaluate, fit, frame_text_ids,
                              load_checkpoint, lr_at, response_nll,
                              save_checkpoint, total_optimizer_steps, train_step)
+from mmtune.tokenizer import Vocab
 from conftest import (assemble_one, bogus_decoder_key, drop_dataset_key,
                       make_examples, rewrite_ckpt_config, to_format_4)
 
@@ -782,6 +783,25 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, ckpt)
         save_checkpoint(p2, load_checkpoint(p1))
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_load_holds_one_copy_of_payload(self, tmp_path):
+        # the default config's checkpoint is about 4 MB; reading the whole
+        # file and copying each tensor out of it peaked at twice that
+        dec_cfg, mod_cfg = DecoderConfig(), ModalityConfig()
+        params = init_params(dec_cfg, mod_cfg, np.random.default_rng(5))
+        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(p1, Checkpoint(dec_cfg, TrainConfig(), mod_cfg, Vocab(),
+                                       params, AdamState.init(params), step=3))
+        size = os.path.getsize(p1)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(p1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size, peak / size
+        save_checkpoint(p2, loaded)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_roundtrip_preserves_everything(self, tiny_dec_cfg, tiny_mod_cfg,
