@@ -245,7 +245,8 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     in row blocks of _BLOCK queries: block [r0, r1) scores only the keys
     [k0, c) of its segment that its last row can see and masks only its
     diagonal part, so the keys above the diagonal are never scored,
-    exponentiated or saved. A non-causal call is one block over every key.
+    exponentiated or saved; its masked scores reach exp as 0, not -inf, and
+    leave it as 0.0. A non-causal call is one block over every key.
 
     The node keeps each block's probabilities P, the split q, k and v, and
     its output O. With G the output's gradient and s = 1/sqrt(d_head), the
@@ -294,11 +295,19 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
     for r0, r1, k0, c in blocks:
         p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
-        if causal:
-            b = r1 - r0
-            np.copyto(p[:, :, c - k0 - b:], -np.inf, where=_AHEAD[:b, :b])
+        b = r1 - r0
+        # a one-row block has no key ahead of it; in a longer one the keys
+        # ahead are -inf for the row max, then 0 through exp, whose -inf
+        # path is slow, and 0.0 after it, which is exactly exp(-inf)
+        ahead = _AHEAD[:b, :b] if causal and b > 1 else None
+        if ahead is not None:
+            np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ahead)
         p -= p.max(axis=-1, keepdims=True)
+        if ahead is not None:
+            np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
         np.exp(p, out=p)
+        if ahead is not None:
+            np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
         if _grad_enabled:  # without a backward only the block in hand is needed

@@ -121,25 +121,26 @@ def init_params(cfg: DecoderConfig, mod_cfg: ModalityConfig,
 def embed_tokens(ids, params: ModelParams) -> Tensor:
     """Row lookup into E; positional terms are added inside forward()."""
     rows = params.embedding.shape[0]
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        bad = idx[(idx < 0) | (idx >= rows)][0]
+    bad = next((i for i in ids if not 0 <= i < rows), None)
+    if bad is not None:
         raise InvalidId(f"token id {bad} outside [0, {rows})")
-    return ag.embedding(params.embedding, idx)
+    return ag.embedding(params.embedding, np.asarray(ids, dtype=np.int64))
 
 
 @dataclass
 class KVCache:
     """Per-layer keys and values of the first `t` positions, in buffers of
-    max_seq_len rows. No gradient flows through these plain arrays, so use a
-    cache under `autograd.no_grad()`."""
+    `rows` rows (max_seq_len unless a caller knows it needs fewer). No
+    gradient flows through these plain arrays, so use a cache under
+    `autograd.no_grad()`."""
 
-    kv: np.ndarray  # layers × 2 × max_seq_len × d_e
+    kv: np.ndarray  # layers × 2 × rows × d_e
     t: int = 0
 
     @classmethod
-    def empty(cls, cfg: DecoderConfig) -> "KVCache":
-        return cls(np.zeros((cfg.layers, 2, cfg.max_seq_len, cfg.d_e)))
+    def empty(cls, cfg: DecoderConfig, rows: int | None = None) -> "KVCache":
+        rows = cfg.max_seq_len if rows is None else rows
+        return cls(np.zeros((cfg.layers, 2, rows, cfg.d_e)))
 
 
 def tail_rows(segments, tails) -> np.ndarray:
@@ -164,8 +165,10 @@ def forward(seq: InstructionSequence, params: ModelParams,
     t = cache.t if cache is not None else 0
     lengths = (seq.segments if cache is None else None) or [seq.length]
     n = t + max(lengths)  # with a cache, the rows it holds after this call
-    if n > cfg.max_seq_len:
-        raise SequenceTooLong(f"sequence length {n} > max {cfg.max_seq_len}")
+    limit = cfg.max_seq_len if cache is None else min(cfg.max_seq_len,
+                                                      cache.kv.shape[2])
+    if n > limit:
+        raise SequenceTooLong(f"sequence length {n} > max {limit}")
     pos = ag.embedding(params["pos"], np.arange(t, t + seq.length)
                        if len(lengths) == 1 else
                        np.concatenate([np.arange(s) for s in lengths]))
@@ -203,13 +206,17 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
     """Deterministic argmax decoding; stops at EOS or max_new tokens. Runs
     without a tape: the prefix runs once for its last row, then one row per
     token. The last new token is returned but never fed back, so the prefix
-    and max_new - 1 tokens must fit in max_seq_len."""
+    and max_new - 1 tokens must fit in max_seq_len, and the KV cache holds
+    those rows and no more."""
     if prefix.span("response-text") is not None:
         raise ValueError("prefix must not contain a response span")
-    if prefix.length + max_new - 1 > cfg.max_seq_len:
+    rows = prefix.length + max_new - 1
+    if rows > cfg.max_seq_len:
         raise SequenceTooLong(f"prefix {prefix.length} + max_new {max_new} "
                               f"- 1 > max {cfg.max_seq_len}")
-    cache = KVCache.empty(cfg)
+    if max_new < 1:
+        return []
+    cache = KVCache.empty(cfg, rows)
     generated: list = []
     seq = prefix
     with ag.no_grad():

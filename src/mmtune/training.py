@@ -5,6 +5,7 @@ checkpoint format that restores training bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -81,36 +82,42 @@ def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
     """The input rows of a pack of dataset examples, back to back. Each media
     item is encoded and transformed alone, then one `align` call makes the
     soft tokens of all of them (one per kind with alignment_heads > 1,
-    whose projections are per kind), and assemble_prefix lays them out."""
-    freeze = bool(train_cfg and train_cfg.freeze_embedding)
-    items, queries, soft = [], [], []
-    for kind in KINDS:
-        for j, ex in enumerate(pack):
-            # only the first item of each kind is used
-            m = next((m for m in ex.media if m["kind"] == kind), None)
-            if m is not None:
-                feats = encoders.encode(MediaRef.from_path(
-                    kind, m["path"], frames=m.get("frames")), mod_cfg)
-                items.append((j, kind))
-                queries.append(transform(feats, params.group(
-                    f"transform.{kind}"), mod_cfg.l_prime))
-    for kind in KINDS if dec_cfg.alignment_heads > 1 else [None]:
-        q = [h for h, (_, k) in zip(queries, items) if kind in (None, k)]
-        if q:
-            soft.append(align(
-                q[0] if len(q) == 1 else ag.concat_rows(q), params.embedding,
-                freeze_embedding=freeze, heads=dec_cfg.alignment_heads,
-                proj=params.group(f"align.{kind}") if kind else None))
-    texts = [frame_text_ids(vocab, ex.instruction,
-                            ex.response if with_response else None)
-             for ex in pack]
-    return assemble_prefix(soft, items, texts, lambda i: embed_tokens(i, params))
+    whose projections are per kind), and assemble_prefix lays them out.
+    Without the responses the rows are a prompt, which no loss reads: they
+    are built without a tape."""
+    with contextlib.nullcontext() if with_response else ag.no_grad():
+        freeze = bool(train_cfg and train_cfg.freeze_embedding)
+        items, queries, soft = [], [], []
+        for kind in KINDS:
+            for j, ex in enumerate(pack):
+                # only the first item of each kind is used
+                m = next((m for m in ex.media if m["kind"] == kind), None)
+                if m is not None:
+                    feats = encoders.encode(MediaRef.from_path(
+                        kind, m["path"], frames=m.get("frames")), mod_cfg)
+                    items.append((j, kind))
+                    queries.append(transform(feats, params.group(
+                        f"transform.{kind}"), mod_cfg.l_prime))
+        for kind in KINDS if dec_cfg.alignment_heads > 1 else [None]:
+            q = [h for h, (_, k) in zip(queries, items) if kind in (None, k)]
+            if q:
+                soft.append(align(
+                    q[0] if len(q) == 1 else ag.concat_rows(q),
+                    params.embedding,
+                    freeze_embedding=freeze, heads=dec_cfg.alignment_heads,
+                    proj=params.group(f"align.{kind}") if kind else None))
+        texts = [frame_text_ids(vocab, ex.instruction,
+                                ex.response if with_response else None)
+                 for ex in pack]
+        return assemble_prefix(soft, items, texts,
+                               lambda i: embed_tokens(i, params))
 
 
 def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
                    mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None,
                    with_response: bool = True) -> InstructionSequence:
-    """The input sequence of one dataset example: a pack of one."""
+    """The input sequence of one dataset example: a pack of one. Without
+    its response it is a prompt, built without a tape."""
     return build_pack([example], params, dec_cfg, mod_cfg, vocab, train_cfg,
                       with_response)
 

@@ -75,6 +75,67 @@ def composed_attention(q, k, v, heads=1, causal=False, segments=None,
     return out
 
 
+def masked_exp_attention(q, k, v, g, heads, segments=None, tails=None):
+    """Causal attention's output and q, k, v gradients for output gradient
+    g, by its row-block loop with the keys ahead of each row at -inf through
+    exp, as it ran before exp was kept off -inf: the operations, their order
+    and their buffers are those of `attention`, so the results should agree
+    bit for bit."""
+    n, m, d = q.shape[0], k.shape[0], q.shape[1]
+    tails = tails or ([n] if segments is None else segments)
+    segments = segments or [m]
+    blocks, r0, k0 = [], 0, 0
+    for length, tail in zip(segments, tails):
+        end, c = r0 + tail, k0 + length
+        for b in range(r0, end, ag._BLOCK):
+            r1 = min(b + ag._BLOCK, end)
+            blocks.append((b, r1, k0, c - end + r1))
+        r0, k0 = end, c
+
+    def split(a):
+        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    scale = 1.0 / np.sqrt(d // heads)
+    qh, kh, vh = split(q * scale), split(k), split(v)
+    probs = []
+    out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
+    for r0, r1, k0, c in blocks:
+        p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
+        b = r1 - r0
+        np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ag._AHEAD[:b, :b])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
+        probs.append(p)
+    gh = split(g)
+    rowsum = (gh * out).sum(axis=-1, keepdims=True)
+    dq = np.empty_like(qh)
+    dk = dv = seen = None
+    for (r0, r1, k0, c), p in zip(reversed(blocks), reversed(probs)):
+        gb = gh[:, r0:r1]
+        ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
+        ds -= rowsum[:, r0:r1]
+        ds *= p
+        np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
+        dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]
+        dv_b = p.transpose(0, 2, 1) @ gb
+        if k0 == seen:
+            dk[:, k0:c] += dk_b
+            dv[:, k0:c] += dv_b
+        elif c - k0 == m:
+            dk, dv = dk_b, dv_b
+        else:
+            if dk is None:
+                dk, dv = np.empty_like(kh), np.empty_like(vh)
+            dk[:, k0:c], dv[:, k0:c] = dk_b, dv_b
+        seen = k0
+    return merge(out), merge(dq) * scale, merge(dk), merge(dv)
+
+
 class TestAttention:
     def test_single_key(self):
         rng = np.random.default_rng(0)
@@ -229,6 +290,47 @@ class TestAttention:
             attention(Tensor(np.ones((n, 4))), Tensor(np.ones((m, 4))),
                       Tensor(np.ones((m, 4))), causal=causal, segments=segments,
                       tails=tails)
+
+    PARITY_CASES = pytest.mark.parametrize("n,m,segments,tails", [
+        (99, 99, [33, 33, 33], None), (420, 420, None, None),
+        (1, 40, [40], [1]), (30, 99, [33, 33, 33], [13, 2, 15])],
+        ids=["pack", "lone-over-seven-blocks", "one-row-tail", "some-rows"])
+
+    @PARITY_CASES
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_matches_masked_exp_bitwise(self, heads, n, m, segments, tails):
+        # keeping the masked scores off exp's -inf path changes no bit of
+        # the output or of the q, k and v gradients
+        rng = np.random.default_rng(19)
+        data = {"q": rng.normal(size=(n, 16)), "k": rng.normal(size=(m, 16)),
+                "v": rng.normal(size=(m, 8))}
+        upstream = rng.normal(size=(n, 8))
+        p = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+        out = attention(p["q"], p["k"], p["v"], heads, causal=True,
+                        segments=segments, tails=tails)
+        ag.sum_all(ag.mul(out, upstream)).backward()
+        want = masked_exp_attention(data["q"], data["k"], data["v"], upstream,
+                                    heads, segments, tails)
+        for got, exp in zip([out.data] + [p[name].grad for name in "qkv"],
+                            want):
+            assert np.array_equal(got, exp)
+
+    @PARITY_CASES
+    def test_exp_never_sees_minus_inf(self, monkeypatch, n, m, segments,
+                                      tails):
+        rng = np.random.default_rng(20)
+        q, k, v = (Tensor(rng.normal(size=(r, 16)), requires_grad=True)
+                   for r in (n, m, m))
+        exp, inputs = np.exp, []
+
+        def recording_exp(x, *args, **kwargs):
+            inputs.append(bool(np.isneginf(x).any()))
+            return exp(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ag.np, "exp", recording_exp)
+            attention(q, k, v, 4, causal=True, segments=segments, tails=tails)
+        assert inputs and not any(inputs)
 
     @staticmethod
     def causal_finite_diff(n, m, segments=None, tails=None):

@@ -36,6 +36,10 @@ class TestEmbedTokens:
         with pytest.raises(InvalidId):
             embed_tokens([N_IDS], tiny_params)
 
+    def test_invalid_id_names_the_first_bad_id(self, tiny_params):
+        with pytest.raises(InvalidId, match=rf"token id -2 outside \[0, {N_IDS}\)"):
+            embed_tokens([3, -2, N_IDS], tiny_params)
+
     def test_one_embedding_row_per_tokenizer_id(self, tiny_params):
         assert tiny_params["E"].shape == (N_IDS, 16)
 
@@ -226,6 +230,25 @@ class TestGenerateGreedy:
             tracemalloc.stop()
         assert held < KVCache.empty(tiny_dec_cfg).kv.nbytes / 4
 
+    def test_prompt_allocates_only_its_own_rows(self, tiny_mod_cfg):
+        # a prompt-only request on 512-row buffers writes its 5 rows: its
+        # peak stays under a quarter of a max_seq_len cache
+        cfg = DecoderConfig()
+        params = init_params(cfg, tiny_mod_cfg, np.random.default_rng(0))
+        seq = text_sequence([1, 50, 60, 70, 3], params)
+        full = KVCache.empty(cfg).kv.nbytes
+        tracemalloc.start()
+        try:
+            generate_greedy(seq, 1, params, cfg, eos_id=-1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 4, peak / full
+
+    def test_no_new_tokens(self, tiny_params, tiny_dec_cfg):
+        seq = text_sequence([1, 50, 60, 3], tiny_params)
+        assert generate_greedy(seq, 0, tiny_params, tiny_dec_cfg) == []
+
     def test_eos_model_generates_nothing(self, tiny_dec_cfg, tiny_mod_cfg):
         params = eos_always_params(tiny_dec_cfg, tiny_mod_cfg)
         seq = text_sequence([1, 10, 3], params)
@@ -353,6 +376,23 @@ class TestKVCache:
         with ag.no_grad(), pytest.raises(SequenceTooLong):
             forward(text_sequence([4], tiny_params), tiny_params, tiny_dec_cfg,
                     cache)
+
+    def test_overflow_of_a_request_sized_cache(self, tiny_params, tiny_dec_cfg):
+        # the buffer's own rows bound a forward, not only max_seq_len
+        cache = KVCache.empty(tiny_dec_cfg, rows=4)
+        assert cache.kv.shape[2] == 4
+        with ag.no_grad():
+            with pytest.raises(SequenceTooLong):
+                forward(text_sequence([4, 5, 6, 7, 8], tiny_params),
+                        tiny_params, tiny_dec_cfg, cache)
+            forward(text_sequence([4, 5, 6], tiny_params), tiny_params,
+                    tiny_dec_cfg, cache)
+            forward(text_sequence([7], tiny_params), tiny_params,
+                    tiny_dec_cfg, cache)
+            with pytest.raises(SequenceTooLong):
+                forward(text_sequence([8], tiny_params), tiny_params,
+                        tiny_dec_cfg, cache)
+        assert cache.t == 4
 
 
 def test_config_rejects_indivisible_heads():

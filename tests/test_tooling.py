@@ -137,6 +137,18 @@ def test_a_short_pack_builds_in_eleven_nodes():
     assert tape_nodes(seq.embedded) <= 11
 
 
+def test_a_prompt_builds_no_tape():
+    # a prompt has no loss, so nothing will differentiate it; the same
+    # example with its response is still recorded
+    pack, params, dec_cfg, mod_cfg = short_pack()
+    prompt = build_sequence(pack[0], params, dec_cfg, mod_cfg, Vocab(),
+                            with_response=False)
+    assert prompt.embedded._parents == ()
+    assert prompt.embedded._backward is None
+    full = build_sequence(pack[0], params, dec_cfg, mod_cfg, Vocab())
+    assert tape_nodes(full.embedded) > 1
+
+
 def gelu_rows(monkeypatch):
     """Record the rows of each gelu input from here on."""
     rows = []
