@@ -21,11 +21,11 @@ from .errors import (BadMagic, ClientError, ConfigError, CorruptPayload,
 from .tokenizer import Vocab
 from .training import build_sequence, evaluate, fit, load_checkpoint
 
-# UnknownKind here is a .mcwf kind byte: check_media vets every other kind
+# UnknownKind here is a .mcwf kind byte: check_media vets every other kind;
+# an OSError comes from a path the command was given or its data names
 _DATA_ERRORS = (SchemaError, EmptyDataset, SourceTooSmall, BadMagic,
                 TruncatedFile, UnknownKind, CorruptPayload, VersionMismatch,
-                FileNotFoundError, FileExistsError, IsADirectoryError,
-                NotADirectoryError)
+                OSError)
 
 
 class _UsageError(Exception):

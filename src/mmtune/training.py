@@ -6,6 +6,7 @@ checkpoint format that restores training bitwise.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -69,32 +70,52 @@ class TrainConfig:
             raise ValueError("max_grad_norm must be None or positive")
 
 
-def frame_text_ids(vocab: Vocab, instruction: str, response: str | None):
-    """Token framing: [BOS] instruction [SEP], response as y [EOS]."""
-    instr = [BOS] + vocab.encode(instruction) + [SEP]
-    resp = vocab.encode(response) + [EOS] if response is not None else None
-    return instr, resp
+@dataclass(frozen=True)
+class Framed:
+    """One example as the model reads it: the first media item of each kind
+    (kind -> MediaRef), [BOS] instruction [SEP], response [EOS] or None in a
+    prompt, and its rows: l_prime soft tokens per kind, then that text."""
+
+    media: dict
+    instr: list
+    resp: list | None
+    rows: int
+
+
+def frame(examples, mod_cfg: ModalityConfig, vocab: Vocab,
+          with_response: bool = True) -> list:
+    """The Framed record of each example, in order. Each (kind, path, frames)
+    is resolved to a MediaRef once per call, so a media file is read once
+    however many examples share it; the next call reads it again."""
+    resolve = functools.cache(MediaRef.from_path)
+    out = []
+    for ex in examples:
+        first = {m["kind"]: m for m in reversed(ex.media)}
+        media = {kind: resolve(kind, m["path"], m.get("frames"))
+                 for kind, m in first.items()}
+        instr = [BOS] + vocab.encode(ex.instruction) + [SEP]
+        resp = vocab.encode(ex.response) + [EOS] if with_response else None
+        out.append(Framed(media, instr, resp, mod_cfg.l_prime * len(media)
+                          + len(instr) + len(resp or ())))
+    return out
 
 
 def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
-               mod_cfg: ModalityConfig, vocab: Vocab, train_cfg=None,
-               with_response: bool = True) -> InstructionSequence:
-    """The input rows of a pack of dataset examples, back to back. Each media
+               mod_cfg: ModalityConfig, train_cfg=None) -> InstructionSequence:
+    """The input rows of a pack of Framed records, back to back. Each media
     item is encoded and transformed alone, then one `align` call makes the
     soft tokens of all of them (one per kind with alignment_heads > 1,
     whose projections are per kind), and assemble_prefix lays them out.
-    Without the responses the rows are a prompt, which no loss reads: they
-    are built without a tape."""
-    with contextlib.nullcontext() if with_response else ag.no_grad():
+    Records without responses make a prompt, which no loss reads: it is
+    built without a tape."""
+    prompt = all(r.resp is None for r in pack)
+    with ag.no_grad() if prompt else contextlib.nullcontext():
         freeze = bool(train_cfg and train_cfg.freeze_embedding)
         items, queries, soft = [], [], []
         for kind in KINDS:
-            for j, ex in enumerate(pack):
-                # only the first item of each kind is used
-                m = next((m for m in ex.media if m["kind"] == kind), None)
-                if m is not None:
-                    feats = encoders.encode(MediaRef.from_path(
-                        kind, m["path"], frames=m.get("frames")), mod_cfg)
+            for j, r in enumerate(pack):
+                if kind in r.media:
+                    feats = encoders.encode(r.media[kind], mod_cfg)
                     items.append((j, kind))
                     queries.append(transform(feats, params.group(
                         f"transform.{kind}"), mod_cfg.l_prime))
@@ -106,10 +127,7 @@ def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
                     params.embedding,
                     freeze_embedding=freeze, heads=dec_cfg.alignment_heads,
                     proj=params.group(f"align.{kind}") if kind else None))
-        texts = [frame_text_ids(vocab, ex.instruction,
-                                ex.response if with_response else None)
-                 for ex in pack]
-        return assemble_prefix(soft, items, texts,
+        return assemble_prefix(soft, items, [(r.instr, r.resp) for r in pack],
                                lambda i: embed_tokens(i, params))
 
 
@@ -118,8 +136,8 @@ def build_sequence(example, params: ModelParams, dec_cfg: DecoderConfig,
                    with_response: bool = True) -> InstructionSequence:
     """The input sequence of one dataset example: a pack of one. Without
     its response it is a prompt, built without a tape."""
-    return build_pack([example], params, dec_cfg, mod_cfg, vocab, train_cfg,
-                      with_response)
+    return build_pack(frame([example], mod_cfg, vocab, with_response), params,
+                      dec_cfg, mod_cfg, train_cfg)
 
 
 def _response_spans(seq: InstructionSequence) -> list:
@@ -151,36 +169,27 @@ def response_nll(logits: Tensor, seq: InstructionSequence,
     return ag.sum_all(ag.mul(picked, weights))
 
 
-def _sequence_length(example, mod_cfg: ModalityConfig, vocab: Vocab) -> int:
-    """Rows of the example's sequence: l_prime soft tokens per kind, then the
-    framed text."""
-    instr, resp = frame_text_ids(vocab, example.instruction, example.response)
-    return (mod_cfg.l_prime * len({m["kind"] for m in example.media})
-            + len(instr) + len(resp))
-
-
-def _packs(examples, limit: int, mod_cfg: ModalityConfig, vocab: Vocab):
-    """Yield `examples`, in order, as packs whose sequences total at most
-    `limit` rows; an example longer than that is a pack alone."""
+def _packs(records, limit: int):
+    """Yield the Framed `records`, in order, as packs whose rows total at
+    most `limit`; a record longer than that is a pack alone."""
     pack, rows = [], 0
-    for ex in examples:
-        n = _sequence_length(ex, mod_cfg, vocab)
-        if pack and rows + n > limit:
+    for r in records:
+        if pack and rows + r.rows > limit:
             yield pack
             pack, rows = [], 0
-        pack.append(ex)
-        rows += n
+        pack.append(r)
+        rows += r.rows
     if pack:
         yield pack
 
 
-def _pack_nlls(examples, params, dec_cfg, mod_cfg, vocab, cfg, reduction):
-    """Yield the response NLL of each pack of `examples`, in order: its rows
-    are built when it runs and go through one forward, in which each example
-    attends only to itself."""
+def _pack_nlls(records, params, dec_cfg, mod_cfg, cfg, reduction):
+    """Yield the response NLL of each pack of the Framed `records`, in
+    order: its rows are built when it runs and go through one forward, in
+    which each example attends only to itself."""
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
-    for pack in _packs(examples, limit, mod_cfg, vocab):
-        seq = build_pack(pack, params, dec_cfg, mod_cfg, vocab, cfg)
+    for pack in _packs(records, limit):
+        seq = build_pack(pack, params, dec_cfg, mod_cfg, cfg)
         logits = forward(seq, params, dec_cfg, tails=seq.tails)
         yield response_nll(logits, seq, reduction=reduction)
 
@@ -237,21 +246,22 @@ def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
         p -= step
 
 
-def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
+def _batch_loss_and_grads(records, params, dec_cfg, mod_cfg, cfg,
                           micro_batches):
-    """Accumulate gradients of the mean loss over `examples`, computed in
-    micro-batch chunks. Returns (loss value, grads dict), whose arrays are
-    the parameters' own .grad, zeros where a parameter got no gradient.
+    """Accumulate gradients of the mean loss over the Framed `records`,
+    computed in micro-batch chunks. Returns (loss value, grads dict), whose
+    arrays are the parameters' own .grad, zeros where a parameter got no
+    gradient.
 
     Each micro-batch runs in packs of consecutive examples whose rows total
     at most min(cfg.max_seq_len, dec_cfg.max_seq_len), one backward a pack.
     So at most one pack's tape is alive at a time, and it is no larger than
     one max-length example's, whatever the micro-batch size."""
-    n_total = len(examples)
+    n_total = len(records)
     params.zero_grad()
     total_loss = 0.0
     for micro in micro_batches:
-        for nll in _pack_nlls(micro, params, dec_cfg, mod_cfg, vocab, cfg,
+        for nll in _pack_nlls(micro, params, dec_cfg, mod_cfg, cfg,
                               cfg.loss_reduction):
             # normalized by the full batch size, so grads accumulated over
             # packs and micros equal the single-batch mean gradient
@@ -266,13 +276,13 @@ def _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, vocab, cfg,
 
 def train_step(batch, params: ModelParams, opt_state: AdamState,
                cfg: TrainConfig, dec_cfg: DecoderConfig,
-               mod_cfg: ModalityConfig, vocab: Vocab, lr: float) -> dict:
-    """One optimizer update from one macro-batch (micro_batch*grad_accum
-    examples, possibly fewer at the epoch tail)."""
+               mod_cfg: ModalityConfig, lr: float) -> dict:
+    """One optimizer update from one macro-batch of Framed records
+    (micro_batch*grad_accum, possibly fewer at the epoch tail)."""
     micros = [batch[i:i + cfg.micro_batch]
               for i in range(0, len(batch), cfg.micro_batch)]
-    loss, grads = _batch_loss_and_grads(batch, params, dec_cfg, mod_cfg,
-                                        vocab, cfg, micros)
+    loss, grads = _batch_loss_and_grads(batch, params, dec_cfg, mod_cfg, cfg,
+                                        micros)
     norm = math.sqrt(sum(float((g * g).sum()) for _, g in sorted(grads.items())))
     if cfg.max_grad_norm is not None and norm > cfg.max_grad_norm:
         scale = cfg.max_grad_norm / norm
@@ -325,12 +335,12 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot fit on an empty dataset")
+    records = frame(dataset, mod_cfg, vocab)
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
-    for ex in dataset:
-        length = _sequence_length(ex, mod_cfg, vocab)
-        if length > limit:
+    for ex, r in zip(dataset, records):
+        if r.rows > limit:
             raise SequenceTooLong(f"example {ex.id!r}: sequence length "
-                                  f"{length} > max_seq_len {limit}")
+                                  f"{r.rows} > max_seq_len {limit}")
     n = len(dataset)
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)
@@ -357,8 +367,8 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     while step < total and (max_steps is None or step < max_steps):
         epoch, k = divmod(step, per_epoch)
         perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        batch = [dataset[j] for j in perm[k * macro:(k + 1) * macro]]
-        m = train_step(batch, params, opt_state, cfg, dec_cfg, mod_cfg, vocab,
+        batch = [records[j] for j in perm[k * macro:(k + 1) * macro]]
+        m = train_step(batch, params, opt_state, cfg, dec_cfg, mod_cfg,
                        lr_at(step, total, cfg))
         m["step"] = step
         metrics.append(m)
@@ -393,8 +403,8 @@ def evaluate(dataset, ckpt: Checkpoint) -> dict:
         raise EmptyDataset("cannot evaluate an empty dataset")
     with ag.no_grad():
         total = sum(float(nll.data) for nll in _pack_nlls(
-            dataset, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg, ckpt.vocab,
-            ckpt.train_cfg, "mean"))
+            frame(dataset, ckpt.mod_cfg, ckpt.vocab), ckpt.params,
+            ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg, "mean"))
     mean_nll = total / len(dataset)
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}
@@ -459,8 +469,9 @@ def _link_checkpoint(src: str, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint, each tensor straight into an array of its own, so
-    a load holds one copy of the payload."""
+    """Read a checkpoint into the tensors its header's configs give, each
+    straight into its own array, so a load holds one copy of the payload.
+    A header whose shapes are not those tensors' is corrupt."""
     with open(path, "rb") as f:
         prefix = f.read(12)
         if prefix[:4] != _CKPT_MAGIC:
@@ -473,27 +484,30 @@ def load_checkpoint(path: str) -> Checkpoint:
         try:
             (n,) = struct.unpack_from("<I", prefix, 8)
             head = json.loads(f.read(n))
-            names = [name for name, _ in head["shapes"]]
-            shapes = [shape for _, shape in head["shapes"]] * 3
-            expected = 8 * sum(math.prod(shape) for shape in shapes)
+            expected = 3 * 8 * sum(math.prod(shape)
+                                   for _, shape in head["shapes"])
             payload = os.fstat(f.fileno()).st_size - 12 - n
             if payload != expected:
                 raise ValueError(f"{payload} payload bytes, expected {expected}")
-            arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
-            for a in arrays:
+            dec_cfg = DecoderConfig(**head["decoder"])
+            train_cfg = TrainConfig(**head["train"])
+            mod_cfg = ModalityConfig(**head["modality"])
+            # the values drawn are overwritten by the payload
+            params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
+            state = AdamState.init(params)
+            names = params.names()
+            if head["shapes"] != [[name, list(params[name].shape)]
+                                  for name in names]:
+                raise ValueError("shapes do not match the header's configs")
+            for a in ([params[name].data for name in names]
+                      + [state.m[name] for name in names]
+                      + [state.v[name] for name in names]):
                 if f.readinto(a) != a.nbytes:
                     raise ValueError("payload ends early")
-            k = len(names)
-            params = {name: Tensor(a, requires_grad=True)
-                      for name, a in zip(names, arrays[:k])}
-            state = AdamState(m=dict(zip(names, arrays[k:2 * k])),
-                              v=dict(zip(names, arrays[2 * k:])),
-                              t=head["adam_t"])
-            return Checkpoint(dec_cfg=DecoderConfig(**head["decoder"]),
-                              train_cfg=TrainConfig(**head["train"]),
-                              mod_cfg=ModalityConfig(**head["modality"]),
-                              vocab=Vocab(),
-                              params=ModelParams(params), opt_state=state,
-                              step=head["step"], dataset_hash=head["dataset"])
+            state.t = head["adam_t"]
+            return Checkpoint(dec_cfg=dec_cfg, train_cfg=train_cfg,
+                              mod_cfg=mod_cfg, vocab=Vocab(), params=params,
+                              opt_state=state, step=head["step"],
+                              dataset_hash=head["dataset"])
         except Exception as e:
             raise CorruptPayload(f"{path}: {e!r}") from e

@@ -90,3 +90,10 @@ def bogus_decoder_key(cfg):
 
 def drop_dataset_key(cfg):
     del cfg["dataset"]
+
+
+def set_header(section, key, value):
+    """A checkpoint header edit that sets one value of a config block."""
+    def edit(cfg):
+        cfg[section][key] = value
+    return edit

@@ -24,7 +24,7 @@ from mmtune.dataset import InstructionExample
 from mmtune.encoders import ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_sequence,
-                             evaluate, fit, lr_at, response_nll)
+                             evaluate, fit, frame, lr_at, response_nll)
 from conftest import assemble_one, make_examples
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -168,11 +168,11 @@ class TestAcceptance:
         tcfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
         micros = [examples[i:i + 4] for i in range(0, 12, 4)]
         loss_a, grads_a = _batch_loss_and_grads(
-            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, tcfg,
-            micros)
+            frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
+            tiny_mod_cfg, tcfg, [frame(m, tiny_mod_cfg, vocab) for m in micros])
         loss_b, grads_b = _batch_loss_and_grads(
-            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, tcfg,
-            [examples])
+            frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
+            tiny_mod_cfg, tcfg, [frame(examples, tiny_mod_cfg, vocab)])
         assert loss_a == pytest.approx(loss_b, abs=1e-10)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name],

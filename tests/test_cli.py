@@ -13,7 +13,7 @@ from mmtune.encoders import save_features
 from mmtune.errors import ConfigError
 from mmtune.training import _dataset_hash, load_checkpoint
 from conftest import (bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config,
-                      to_format_4)
+                      set_header, to_format_4)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -136,6 +136,17 @@ class TestDatasetCommands:
 
     def test_stats_directory(self, tmp_path):
         assert dispatch(["dataset-stats", "--data", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("path", ["loop", "long"],
+                             ids=["symlink-loop", "name-too-long"])
+    def test_stats_unreadable_path(self, tmp_path, capsys, path):
+        if path == "loop":
+            p = tmp_path / "loop.jsonl"
+            p.symlink_to(p)
+        else:
+            p = tmp_path / ("x" * 5000)
+        assert dispatch(["dataset-stats", "--data", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_train_rejects_negative_frames(self, tmp_path, capsys):
         rec = {"id": "v", "source": "s", "instruction": "what", "response": "x",
@@ -428,8 +439,9 @@ class TestTrainEvalGenerate:
         assert dispatch(["eval", "--checkpoint", str(tmp_path),
                          "--data", trained["data"]]) == 3
 
-    @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key],
-                             ids=["extra-key", "missing-dataset"])
+    @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key,
+                                      set_header("decoder", "layers", 2)],
+                             ids=["extra-key", "missing-dataset", "layers"])
     def test_eval_bad_config_block(self, tmp_path, trained, edit):
         p = tmp_path / "cfg.ckpt"
         p.write_bytes((trained["out"] / "final.ckpt").read_bytes())

@@ -12,7 +12,7 @@ from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_pack,
-                             build_sequence)
+                             build_sequence, frame)
 from conftest import make_examples
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -65,10 +65,11 @@ def test_benchmark_tracer_sees_each_pack_of_a_step(monkeypatch):
     # silently read 0
     tracer = load_tracer(monkeypatch).Tracer()
     pack, params, dec_cfg, mod_cfg = short_pack()
-    examples = pack + [dataclasses.replace(ex, id=ex.id + "b") for ex in pack]
+    examples = frame(pack + [dataclasses.replace(ex, id=ex.id + "b")
+                             for ex in pack], mod_cfg, Vocab())
     tracer.start()
     try:
-        _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg, Vocab(),
+        _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg,
                               TrainConfig(), [examples[:3], examples[3:]])
     finally:
         record = tracer.stop()
@@ -94,8 +95,9 @@ def test_no_add_in_the_model_broadcasts(monkeypatch, tiny_mod_cfg):
                             alignment_heads=2)
     params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
     examples = make_examples(6)
-    _batch_loss_and_grads(examples, params, dec_cfg, tiny_mod_cfg, Vocab(),
-                          TrainConfig(max_seq_len=96), [examples])
+    records = frame(examples, tiny_mod_cfg, Vocab())
+    _batch_loss_and_grads(records, params, dec_cfg, tiny_mod_cfg,
+                          TrainConfig(max_seq_len=96), [records])
     seq = build_sequence(examples[0], params, dec_cfg, tiny_mod_cfg, Vocab(),
                          with_response=False)
     generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
@@ -132,7 +134,8 @@ def test_a_short_pack_builds_in_eleven_nodes():
     # align, one text lookup, and the concat and the gather that lay the
     # rows out
     pack, params, dec_cfg, mod_cfg = short_pack()
-    seq = build_pack(pack, params, dec_cfg, mod_cfg, Vocab(), TrainConfig())
+    seq = build_pack(frame(pack, mod_cfg, Vocab()), params, dec_cfg, mod_cfg,
+                     TrainConfig())
     assert seq.segments == [33, 33, 33]
     assert tape_nodes(seq.embedded) <= 11
 
@@ -166,9 +169,10 @@ def test_last_layer_runs_only_the_rows_a_loss_reads(monkeypatch):
     # of each 33-row example, the 13 rows that predict its response and its
     # final row; the layer before runs on all 99
     pack, params, dec_cfg, mod_cfg = short_pack()
+    pack = frame(pack, mod_cfg, Vocab())
     rows = gelu_rows(monkeypatch)
-    _batch_loss_and_grads(pack, params, dec_cfg, mod_cfg, Vocab(),
-                          TrainConfig(), [pack])
+    _batch_loss_and_grads(pack, params, dec_cfg, mod_cfg, TrainConfig(),
+                          [pack])
     assert rows[0] == 99
     assert rows[-1] <= 42, rows
 

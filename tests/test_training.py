@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
                            VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              _batch_loss_and_grads, build_pack,
-                             build_sequence, evaluate, fit, frame_text_ids,
+                             build_sequence, evaluate, fit, frame,
                              load_checkpoint, lr_at, response_nll,
                              save_checkpoint, total_optimizer_steps, train_step)
-from mmtune.tokenizer import Vocab
+from mmtune.tokenizer import BOS, EOS, SEP, Vocab
 from conftest import (assemble_one, bogus_decoder_key, drop_dataset_key,
-                      make_examples, rewrite_ckpt_config, to_format_4)
+                      make_examples, rewrite_ckpt_config, set_header,
+                      to_format_4)
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
@@ -129,10 +131,11 @@ class TestGradAccumulation:
         cfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
         micros = [examples[i:i + 4] for i in range(0, 12, 4)]
         loss_a, grads_a = _batch_loss_and_grads(
-            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg, micros)
+            frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
+            tiny_mod_cfg, cfg, [frame(m, tiny_mod_cfg, vocab) for m in micros])
         loss_b, grads_b = _batch_loss_and_grads(
-            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
-            [examples])
+            frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
+            tiny_mod_cfg, cfg, [frame(examples, tiny_mod_cfg, vocab)])
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
@@ -142,9 +145,9 @@ class TestGradAccumulation:
         # the step's gradients live in .grad alone; a parameter the batch
         # does not reach, such as the transform of an absent kind, gets zeros
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(3))
-        examples = make_examples(6, kinds=("image",))
+        examples = frame(make_examples(6, kinds=("image",)), tiny_mod_cfg, vocab)
         _, grads = _batch_loss_and_grads(
-            examples, params, tiny_dec_cfg, tiny_mod_cfg, vocab,
+            examples, params, tiny_dec_cfg, tiny_mod_cfg,
             TrainConfig(max_seq_len=96), [examples[:4], examples[4:]])
         assert list(grads) == params.names()
         for name in params.names():
@@ -163,9 +166,10 @@ class TestGradAccumulation:
         cfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96,
                           loss_reduction=reduction)
         lengths = record_forward_lengths(monkeypatch)
+        records = frame(examples, tiny_mod_cfg, vocab)
         loss, grads = _batch_loss_and_grads(
-            examples, tiny_params, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
-            [examples[i:i + 4] for i in range(0, 12, 4)])
+            records, tiny_params, tiny_dec_cfg, tiny_mod_cfg, cfg,
+            [records[i:i + 4] for i in range(0, 12, 4)])
         assert len(lengths) == 6 and max(lengths) <= 96, lengths
         # the reference: full logits, one example per forward and backward
         tiny_params.zero_grad()
@@ -187,27 +191,24 @@ class TestGradAccumulation:
     @pytest.mark.parametrize("limit", [20, 39, 60, 99, 128, 200])
     def test_no_pack_exceeds_the_limit(self, tiny_mod_cfg, vocab, limit):
         # 38-41 rows each; an example longer than the limit runs alone
-        examples = [dataclasses.replace(ex, instruction=ex.instruction * 2)
-                    for ex in make_examples(9)]
-        lengths = {ex.id: training._sequence_length(ex, tiny_mod_cfg, vocab)
-                   for ex in examples}
-        packs = list(training._packs(examples, limit, tiny_mod_cfg, vocab))
+        examples = frame([dataclasses.replace(ex, instruction=ex.instruction * 2)
+                          for ex in make_examples(9)], tiny_mod_cfg, vocab)
+        packs = list(training._packs(examples, limit))
         assert [ex for pack in packs for ex in pack] == examples
-        totals = [sum(lengths[ex.id] for ex in pack) for pack in packs]
+        totals = [sum(ex.rows for ex in pack) for pack in packs]
         for pack, total in zip(packs, totals):
             assert total <= limit or len(pack) == 1
         # greedy: each pack is closed by an example that would not fit
         for total, nxt in zip(totals, packs[1:]):
-            assert total + lengths[nxt[0].id] > limit
+            assert total + nxt[0].rows > limit
 
     def test_short_micro_batch_packs_3_and_1(self, tiny_mod_cfg, vocab):
         # the benchmark's short workload: 33-row examples, a limit of 128
-        examples = [dataclasses.replace(ex, instruction="i" * 16,
-                                        response="r" * 12)
-                    for ex in make_examples(4)]
-        assert {training._sequence_length(ex, tiny_mod_cfg, vocab)
-                for ex in examples} == {33}
-        packs = training._packs(examples, 128, tiny_mod_cfg, vocab)
+        examples = frame([dataclasses.replace(ex, instruction="i" * 16,
+                                              response="r" * 12)
+                          for ex in make_examples(4)], tiny_mod_cfg, vocab)
+        assert {ex.rows for ex in examples} == {33}
+        packs = training._packs(examples, 128)
         assert [len(p) for p in packs] == [3, 1]
 
     @staticmethod
@@ -227,10 +228,11 @@ class TestGradAccumulation:
         cfg = TrainConfig(micro_batch=4, grad_accum=1, max_seq_len=256)
 
         def peak(micro):
+            micro = frame(micro, tiny_mod_cfg, vocab)
             tracemalloc.start()
             try:
                 _batch_loss_and_grads(micro, params, dec_cfg, tiny_mod_cfg,
-                                      vocab, cfg, [micro])
+                                      cfg, [micro])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -288,7 +290,7 @@ class TestBuildSequence:
         assert a.tobytes() == b.tobytes()
 
 
-def per_example_pack(pack, params, dec_cfg, mod_cfg, vocab, train_cfg):
+def per_example_pack(pack, params, dec_cfg, mod_cfg, train_cfg):
     """The oracle for build_pack: each example built alone, with one align
     per media item, and the sequences joined by concat_rows. Returns (rows,
     spans, ids, segment lengths)."""
@@ -306,7 +308,8 @@ def per_example_pack(pack, params, dec_cfg, mod_cfg, vocab, train_cfg):
                 soft[kind] = align(h, params.embedding, freeze_embedding=freeze,
                                    heads=heads, proj=params.group(f"align.{kind}")
                                    if heads > 1 else None)
-        instr, resp = frame_text_ids(vocab, ex.instruction, ex.response)
+        instr = [BOS] + Vocab().encode(ex.instruction) + [SEP]
+        resp = Vocab().encode(ex.response) + [EOS]
         parts = [(kind, soft[kind], [-1] * mod_cfg.l_prime)
                  for kind in KINDS if kind in soft]
         parts += [("instruction-text", embed_tokens(instr, params), instr),
@@ -357,12 +360,13 @@ class TestBuildPack:
                                         vocab, heads, freeze):
         dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=heads)
         params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(5))
-        args = (dec_cfg, tiny_mod_cfg, vocab, TrainConfig(freeze_embedding=freeze))
+        args = (dec_cfg, tiny_mod_cfg, TrainConfig(freeze_embedding=freeze))
         packs = media_packs(heads + 2 * freeze)
         assert {len(p) for p in packs} == {1, 2, 3}
         assert {len(ex.media) for p in packs for ex in p} == {0, 1, 2, 3}
         for pack in packs:
-            (rows, *layout), grads = self.built(build_pack, pack, params, *args)
+            (rows, *layout), grads = self.built(
+                build_pack, frame(pack, tiny_mod_cfg, vocab), params, *args)
             (want_rows, *want_layout), want_grads = self.built(
                 per_example_pack, pack, params, *args)
             np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12)
@@ -388,6 +392,62 @@ def response_tails(seq):
     return (ends - first + 1).tolist()
 
 
+class TestFrame:
+    @pytest.mark.parametrize("kinds,with_response", [
+        ((), True), (("audio",), True), (("image", "video"), True),
+        (KINDS, True), (("image", "image"), True), (("video", "audio"), False)],
+        ids=["0-kinds", "1-kind", "2-kinds", "3-kinds", "2-of-a-kind", "prompt"])
+    def test_rows_match_the_layout(self, tiny_params, tiny_dec_cfg,
+                                   tiny_mod_cfg, vocab, kinds, with_response):
+        media = tuple({"kind": k, "path": f"m{j}"} for j, k in enumerate(kinds))
+        ex = dataclasses.replace(make_examples(1)[0], media=media)
+        [record] = frame([ex], tiny_mod_cfg, vocab, with_response)
+        seq = build_pack([record], tiny_params, tiny_dec_cfg, tiny_mod_cfg)
+        assert record.rows == seq.length
+
+    @staticmethod
+    def count_resolutions(monkeypatch):
+        """Count MediaRef.from_path and Vocab.encode calls from here on."""
+        calls = Counter()
+        from_path, encode = MediaRef.from_path.__func__, Vocab.encode
+
+        def counting_from_path(cls, *args, **kwargs):
+            calls["from_path"] += 1
+            return from_path(cls, *args, **kwargs)
+
+        def counting_encode(self, text):
+            calls["encode"] += 1
+            return encode(self, text)
+
+        monkeypatch.setattr(MediaRef, "from_path",
+                            classmethod(counting_from_path))
+        monkeypatch.setattr(Vocab, "encode", counting_encode)
+        return calls
+
+    def test_each_example_is_framed_once_per_call(self, tiny_dec_cfg,
+                                                  tiny_mod_cfg, vocab,
+                                                  tmp_path, monkeypatch):
+        # the benchmark's short fit: 48 examples over 12 media files, 4 x 4
+        # a step, 4 epochs; each file is read and each text encoded once a
+        # call, not once an epoch and use
+        paths = [tmp_path / f"m{i}.bin" for i in range(12)]
+        for i, p in enumerate(paths):
+            p.write_bytes(bytes([i]) * 64)
+        examples = [InstructionExample(
+            id=f"s{i}", instruction="i" * 14, response="r" * 12,
+            media=({"kind": KINDS[i % 3], "path": str(paths[i % 12])},),
+            source="synthetic") for i in range(48)]
+        cfg = TrainConfig(epochs=4, micro_batch=4, grad_accum=4, max_seq_len=128)
+        dec_cfg = dataclasses.replace(tiny_dec_cfg, max_seq_len=128)
+        calls = self.count_resolutions(monkeypatch)
+        ckpt, metrics = fit(examples, dec_cfg, tiny_mod_cfg, vocab, cfg)
+        assert len(metrics) == 12
+        assert calls == {"from_path": 12, "encode": 96}
+        calls.clear()
+        evaluate(examples, ckpt)
+        assert calls == {"from_path": 12, "encode": 96}
+
+
 class TestPackLayout:
     @pytest.mark.parametrize("with_response", [True, False],
                              ids=["response", "prompt"])
@@ -397,8 +457,8 @@ class TestPackLayout:
         dec_cfg = dataclasses.replace(tiny_dec_cfg, alignment_heads=heads)
         params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(5))
         for pack in media_packs(heads):
-            seq = build_pack(pack, params, dec_cfg, tiny_mod_cfg, vocab,
-                             with_response=with_response)
+            seq = build_pack(frame(pack, tiny_mod_cfg, vocab, with_response),
+                             params, dec_cfg, tiny_mod_cfg)
             assert seq.tails == response_tails(seq)
             if not with_response:
                 assert seq.tails == [1] * len(pack)
@@ -411,7 +471,8 @@ class TestPackLayout:
         packs = [p for p in media_packs(7) if len(p) > 1]
         assert {len(p) for p in packs} == {2, 3}
         for pack in packs:
-            seq = build_pack(pack, params, tiny_dec_cfg, tiny_mod_cfg, vocab)
+            seq = build_pack(frame(pack, tiny_mod_cfg, vocab), params,
+                             tiny_dec_cfg, tiny_mod_cfg)
             got = forward(seq, params, tiny_dec_cfg).data
             start = 0
             for ex in pack:
@@ -464,19 +525,19 @@ class TestAdam:
 class TestTrainStep:
     def test_loss_decreases_on_fixed_batch(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
-        batch = make_examples(4)
+        batch = frame(make_examples(4), tiny_mod_cfg, vocab)
         cfg = TrainConfig(lr_peak=3e-3, micro_batch=4, grad_accum=1,
                           max_seq_len=96)
         state = AdamState.init(params)
         losses = []
         for _ in range(21):
             m = train_step(batch, params, state, cfg, tiny_dec_cfg,
-                           tiny_mod_cfg, vocab, lr=cfg.lr_peak)
+                           tiny_mod_cfg, lr=cfg.lr_peak)
             losses.append(m["loss"])
         assert all(a > b for a, b in zip(losses[:20], losses[1:21]))
 
     def test_deterministic_metrics(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
-        batch = make_examples(4)
+        batch = frame(make_examples(4), tiny_mod_cfg, vocab)
         cfg = TrainConfig(lr_peak=1e-3, micro_batch=2, grad_accum=2,
                           max_seq_len=96)
 
@@ -485,7 +546,7 @@ class TestTrainStep:
                                  np.random.default_rng(1))
             state = AdamState.init(params)
             return [train_step(batch, params, state, cfg, tiny_dec_cfg,
-                               tiny_mod_cfg, vocab, lr=1e-3)
+                               tiny_mod_cfg, lr=1e-3)
                     for _ in range(3)]
 
         assert run() == run()
@@ -496,8 +557,8 @@ class TestTrainStep:
         monkeypatch.setattr(training, "adam_update",
                             lambda params, grads, *rest: seen.append(grads))
         params = init_params(dec_cfg, mod_cfg, np.random.default_rng(2))
-        m = train_step(make_examples(4), params, AdamState.init(params), cfg,
-                       dec_cfg, mod_cfg, vocab, lr=1e-3)
+        m = train_step(frame(make_examples(4), mod_cfg, vocab), params,
+                       AdamState.init(params), cfg, dec_cfg, mod_cfg, lr=1e-3)
         return m["grad_norm"], seen[0]
 
     def test_max_grad_norm(self, monkeypatch, tiny_dec_cfg, tiny_mod_cfg, vocab):
@@ -518,7 +579,7 @@ class TestTrainStep:
     def test_sum_reduction_passes_finite_diff(self, tiny_dec_cfg, tiny_mod_cfg,
                                               vocab):
         from mmtune.autograd import finite_diff_check
-        examples = make_examples(3)
+        examples = frame(make_examples(3), tiny_mod_cfg, vocab)
         cfg = TrainConfig(loss_reduction="sum", max_seq_len=96)
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(4))
 
@@ -526,7 +587,7 @@ class TestTrainStep:
             # the root hands the accumulated grads to the params on backward,
             # so the check compares them with differences of the summed loss
             loss, grads = _batch_loss_and_grads(
-                examples, ModelParams(p), tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                examples, ModelParams(p), tiny_dec_cfg, tiny_mod_cfg, cfg,
                 [examples[:2], examples[2:]])
 
             def bwd(g):
@@ -938,8 +999,12 @@ class TestCheckpoint:
         with pytest.raises(CorruptPayload):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("edit", [bogus_decoder_key, drop_dataset_key],
-                             ids=["extra-key", "missing-dataset"])
+    # the last three parse, but their configs do not give the shapes held:
+    # tiny_dec_cfg has 1 layer and d_ff 32, tiny_mod_cfg l_prime 2
+    @pytest.mark.parametrize("edit", [
+        bogus_decoder_key, drop_dataset_key, set_header("decoder", "layers", 2),
+        set_header("decoder", "d_ff", 64), set_header("modality", "l_prime", 3)],
+        ids=["extra-key", "missing-dataset", "layers", "d_ff", "l_prime"])
     def test_bad_config_block(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path,
                               edit):
         p = str(tmp_path / "i.ckpt")
