@@ -34,9 +34,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -9,7 +9,6 @@ rows u32, cols u32, then rows*cols float32 values row-major.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
@@ -25,7 +24,6 @@ KINDS = ("image", "video", "audio")
 
 _MAGIC = b"MCWF"
 _VERSION = 1
-_CACHE_SIZE = 256  # stub features kept: at most 1.5 MB at the default dims
 
 
 def check_field_types(cfg) -> None:
@@ -156,8 +154,7 @@ def encode_video(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
 
 def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """The L×d_h features of `media`: read from its `.mcwf` file when its
-    path names one, else from the stub encoder for its kind, through an LRU
-    cache of _CACHE_SIZE entries whose read-only arrays later calls share."""
+    path names one, else from the stub encoder for its kind."""
     if media.path and media.path.endswith(".mcwf") and os.path.isfile(media.path):
         kind, matrix = load_features(media.path)
         expect = (media.kind, (cfg.length(media.kind), cfg.dim(media.kind)))
@@ -165,16 +162,7 @@ def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
             raise SchemaError(f"{media.path}: feature kind and shape {kind} "
                               f"{matrix.shape} != configured {expect}")
         return matrix
-    return _stub_features(MediaRef(media.kind, media.fingerprint,
-                                   frames=media.frames), cfg)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _stub_features(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
-    """Stub features, a pure function of a path-less `media` and `cfg`."""
-    out = (encode_video if media.kind == "video" else stub_encode)(media, cfg)
-    out.flags.writeable = False
-    return out
+    return (encode_video if media.kind == "video" else stub_encode)(media, cfg)
 
 
 def save_features(path: str, kind: str, matrix: np.ndarray) -> None:

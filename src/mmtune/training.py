@@ -72,9 +72,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Framed:
-    """One example as the model reads it: the first media item of each kind
-    (kind -> MediaRef), [BOS] instruction [SEP], response [EOS] or None in a
-    prompt, and its rows: l_prime soft tokens per kind, then that text."""
+    """One example as the model reads it: the L×d_h features of the first
+    media item of each kind (kind -> array), [BOS] instruction [SEP],
+    response [EOS] or None in a prompt, and its rows: l_prime soft tokens per
+    kind, then that text."""
 
     media: dict
     instr: list
@@ -85,13 +86,16 @@ class Framed:
 def frame(examples, mod_cfg: ModalityConfig, vocab: Vocab,
           with_response: bool = True) -> list:
     """The Framed record of each example, in order. Each (kind, path, frames)
-    is resolved to a MediaRef once per call, so a media file is read once
-    however many examples share it; the next call reads it again."""
-    resolve = functools.cache(MediaRef.from_path)
+    is encoded once per call, so a media file is read once however many
+    examples share it; the next call reads it again."""
+    @functools.cache
+    def features(kind, path, frames):
+        return encoders.encode(MediaRef.from_path(kind, path, frames), mod_cfg)
+
     out = []
     for ex in examples:
         first = {m["kind"]: m for m in reversed(ex.media)}
-        media = {kind: resolve(kind, m["path"], m.get("frames"))
+        media = {kind: features(kind, m["path"], m.get("frames"))
                  for kind, m in first.items()}
         instr = [BOS] + vocab.encode(ex.instruction) + [SEP]
         resp = vocab.encode(ex.response) + [EOS] if with_response else None
@@ -103,11 +107,11 @@ def frame(examples, mod_cfg: ModalityConfig, vocab: Vocab,
 def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
                mod_cfg: ModalityConfig, train_cfg=None) -> InstructionSequence:
     """The input rows of a pack of Framed records, back to back. Each media
-    item is encoded and transformed alone, then one `align` call makes the
-    soft tokens of all of them (one per kind with alignment_heads > 1,
-    whose projections are per kind), and assemble_prefix lays them out.
-    Records without responses make a prompt, which no loss reads: it is
-    built without a tape."""
+    item is transformed alone, then one `align` call makes the soft tokens
+    of all of them (one per kind with alignment_heads > 1, whose projections
+    are per kind), and assemble_prefix lays them out. Records without
+    responses make a prompt, which no loss reads: it is built without a
+    tape."""
     prompt = all(r.resp is None for r in pack)
     with ag.no_grad() if prompt else contextlib.nullcontext():
         freeze = bool(train_cfg and train_cfg.freeze_embedding)
@@ -115,9 +119,8 @@ def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
         for kind in KINDS:
             for j, r in enumerate(pack):
                 if kind in r.media:
-                    feats = encoders.encode(r.media[kind], mod_cfg)
                     items.append((j, kind))
-                    queries.append(transform(feats, params.group(
+                    queries.append(transform(r.media[kind], params.group(
                         f"transform.{kind}"), mod_cfg.l_prime))
         for kind in KINDS if dec_cfg.alignment_heads > 1 else [None]:
             q = [h for h, (_, k) in zip(queries, items) if kind in (None, k)]
@@ -328,13 +331,32 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     visits the examples in the order drawn from (cfg.seed, e), so a
     checkpoint's step alone says where training stands: resume_from
     restarts from a checkpoint saved at any step and reproduces the
-    uninterrupted run bitwise. Before step 0, configs or a dataset (its
-    examples and their order) that differ from the checkpoint's raise
-    ConfigError, and an example over either max_seq_len SequenceTooLong.
+    uninterrupted run bitwise. The run's state is one Checkpoint: the one
+    resumed from, trained in place, or a fresh one around `params`; its
+    step advances with each update, and it is what is saved and returned.
+    Before step 0, configs or a dataset (its examples and their order) that
+    differ from the checkpoint's raise ConfigError, a media item that cannot
+    be encoded raises its own error, and an example over either max_seq_len
+    SequenceTooLong.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot fit on an empty dataset")
+    data_hash = _dataset_hash(dataset)
+    if resume_from is not None:
+        ckpt = (load_checkpoint(resume_from) if isinstance(resume_from, str)
+                else resume_from)
+        if (ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg) != (dec_cfg, mod_cfg, cfg):
+            raise ConfigError("run config does not match the checkpoint's "
+                              "decoder, modality and train configs")
+        if ckpt.dataset_hash != data_hash:
+            raise ConfigError("dataset does not match the one the checkpoint "
+                              "was trained on")
+    else:
+        if params is None:
+            params = init_params(dec_cfg, mod_cfg, np.random.default_rng(cfg.seed))
+        ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
+                          AdamState.init(params), 0, data_hash)
     records = frame(dataset, mod_cfg, vocab)
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
     for ex, r in zip(dataset, records):
@@ -345,54 +367,34 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)
     total = total_optimizer_steps(n, cfg)
-    data_hash = _dataset_hash(dataset)
-
-    if resume_from is not None:
-        ckpt = (load_checkpoint(resume_from) if isinstance(resume_from, str)
-                else resume_from)
-        if (ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg) != (dec_cfg, mod_cfg, cfg):
-            raise ConfigError("run config does not match the checkpoint's "
-                              "decoder, modality and train configs")
-        if ckpt.dataset_hash != data_hash:
-            raise ConfigError("dataset does not match the one the checkpoint "
-                              "was trained on")
-        params, opt_state, step = ckpt.params, ckpt.opt_state, ckpt.step
-    else:
-        if params is None:
-            params = init_params(dec_cfg, mod_cfg, np.random.default_rng(cfg.seed))
-        opt_state = AdamState.init(params)
-        step = 0
 
     metrics = []
-    while step < total and (max_steps is None or step < max_steps):
-        epoch, k = divmod(step, per_epoch)
+    while ckpt.step < total and (max_steps is None or ckpt.step < max_steps):
+        epoch, k = divmod(ckpt.step, per_epoch)
         perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         batch = [records[j] for j in perm[k * macro:(k + 1) * macro]]
-        m = train_step(batch, params, opt_state, cfg, dec_cfg, mod_cfg,
-                       lr_at(step, total, cfg))
-        m["step"] = step
+        m = train_step(batch, ckpt.params, ckpt.opt_state, cfg, dec_cfg,
+                       mod_cfg, lr_at(ckpt.step, total, cfg))
+        m["step"] = ckpt.step
         metrics.append(m)
         if log_fn:
             log_fn(m)
-        step += 1
-        if out_dir is not None and step % per_epoch == 0:
+        ckpt.step += 1
+        if out_dir is not None and ckpt.step % per_epoch == 0:
             save_checkpoint(os.path.join(out_dir, f"epoch{epoch + 1}.ckpt"),
-                            Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
-                                       opt_state, step, data_hash))
-    final = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params, opt_state, step,
-                       data_hash)
+                            ckpt)
     if out_dir is not None:
         path = os.path.join(out_dir, "final.ckpt")
-        if metrics and step % per_epoch == 0:
+        if metrics and ckpt.step % per_epoch == 0:
             # the last step saved an epoch checkpoint holding these bytes
             try:
                 _link_checkpoint(os.path.join(
-                    out_dir, f"epoch{step // per_epoch}.ckpt"), path)
+                    out_dir, f"epoch{ckpt.step // per_epoch}.ckpt"), path)
             except OSError:  # a filesystem without hard links
-                save_checkpoint(path, final)
+                save_checkpoint(path, ckpt)
         else:
-            save_checkpoint(path, final)
-    return final, metrics
+            save_checkpoint(path, ckpt)
+    return ckpt, metrics
 
 
 def evaluate(dataset, ckpt: Checkpoint) -> dict:

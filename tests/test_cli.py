@@ -266,6 +266,32 @@ class TestTrainEvalGenerate:
                          str(bad), "--out", str(out)]) == 3
         assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
 
+    def test_a_bad_feature_file_fails_train_before_step_0(self, trained,
+                                                          tmp_path, capsys):
+        # the last of 8 one-example steps' examples names features of 5 rows
+        # for an image item, whose configured rows are 6
+        out = tmp_path / "run"
+        assert dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(out),
+                         "--max-steps", "3"]) == 0
+        log, files = (out / "metrics.jsonl").read_bytes(), os.listdir(out)
+        feats = tmp_path / "f.mcwf"
+        save_features(str(feats), "image", np.zeros((5, 5)))
+        rec = {"id": "f", "source": "s", "instruction": "what", "response": "x",
+               "media": [{"kind": "image", "path": str(feats)}]}
+        lines = open(trained["data"], encoding="utf-8").read().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:7] + [json.dumps(rec)]) + "\n")
+        cfg = write_cfg(tmp_path, name="steps.json",
+                        train={"epochs": 1, "micro_batch": 1, "grad_accum": 1,
+                               "max_seq_len": 128})
+        capsys.readouterr()
+        assert dispatch(["train", "--config", cfg, "--data", str(bad),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {feats}: ")
+        assert (out / "metrics.jsonl").read_bytes() == log
+        assert sorted(os.listdir(out)) == sorted(files)
+
     def test_zero_steps_leave_an_empty_log(self, trained, tmp_path):
         out = tmp_path / "run"
         base = ["train", "--config", trained["cfg"], "--data", trained["data"],

@@ -1,9 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from mmtune import encoders
 from mmtune.encoders import (MediaRef, ModalityConfig, encode, encode_video,
                              fingerprint_bytes, frame_fingerprint,
                              load_features, sample_frames, save_features,
@@ -106,56 +103,7 @@ class TestEncodeFeatureFile:
             encode(MediaRef.from_path("image", str(p)), cfg)
 
 
-class TestEncodeCache:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        encoders._stub_features.cache_clear()
-        yield
-        encoders._stub_features.cache_clear()
-
-    @staticmethod
-    def count_stub_runs(monkeypatch):
-        runs = []
-        for name in ("stub_encode", "encode_video"):
-            def counted(media, cfg, fn=getattr(encoders, name)):
-                runs.append(media)
-                return fn(media, cfg)
-            monkeypatch.setattr(encoders, name, counted)
-        return runs
-
-    def test_holds_at_most_the_bound(self, cfg, monkeypatch):
-        runs = self.count_stub_runs(monkeypatch)
-        bound = encoders._CACHE_SIZE
-        assert bound == 256
-        for f in range(bound + 5):
-            encode(MediaRef("image", fingerprint=f), cfg)
-        assert encoders._stub_features.cache_info().currsize == bound
-        # least recently used first out: the newest item is still held, the
-        # oldest runs the stub again
-        encode(MediaRef("image", fingerprint=bound + 4), cfg)
-        assert len(runs) == bound + 5
-        encode(MediaRef("image", fingerprint=0), cfg)
-        assert len(runs) == bound + 6
-
-    def test_a_recurring_item_runs_the_stub_once(self, cfg, monkeypatch):
-        runs = self.count_stub_runs(monkeypatch)
-        for kind, frames in (("image", None), ("video", 40), ("audio", None)):
-            first = encode(MediaRef.from_path(kind, "m", frames=frames), cfg)
-            again = encode(MediaRef.from_path(kind, "m", frames=frames), cfg)
-            assert again is first
-        assert len(runs) == 3
-        # the geometry is part of the key
-        wide = dataclasses.replace(cfg, image_dim=7)
-        assert encode(MediaRef.from_path("image", "m"), wide).shape == (16, 7)
-        assert len(runs) == 4
-
-    def test_returned_features_are_read_only(self, cfg):
-        out = encode(MediaRef("video", fingerprint=3, frames=9), cfg)
-        with pytest.raises(ValueError, match="read-only"):
-            out[0, 0] = 1.0
-        np.testing.assert_array_equal(
-            out, encode_video(MediaRef("video", fingerprint=3, frames=9), cfg))
-
+class TestEncode:
     def test_a_feature_file_rewritten_in_place_is_read_again(self, tmp_path,
                                                              cfg):
         p = str(tmp_path / "a.mcwf")
@@ -165,7 +113,7 @@ class TestEncodeCache:
         save_features(p, "audio", np.full((24, 32), -0.25))
         np.testing.assert_array_equal(encode(ref, cfg), -0.25)
 
-    def test_a_call_that_raises_caches_nothing(self, tmp_path, cfg):
+    def test_a_bad_feature_file_or_frame_count_raises(self, tmp_path, cfg):
         p = str(tmp_path / "f.mcwf")
         save_features(p, "image", np.zeros((15, 32)))
         with pytest.raises(SchemaError):
@@ -173,7 +121,6 @@ class TestEncodeCache:
         # and a stub that raises, as sample_frames does for -1 frames
         with pytest.raises(ValueError, match="frame_count"):
             encode(MediaRef("video", fingerprint=1, frames=-1), cfg)
-        assert encoders._stub_features.cache_info().currsize == 0
 
 
 class TestSampleFrames:

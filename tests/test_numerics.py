@@ -363,7 +363,7 @@ class TestBackward:
         loss.backward()
         for t in (h, y, loss):
             assert t.grad is None and t._parents == () and t._backward is None
-        assert loss.item() == float(y.data.sum())  # data outlives the tape
+        assert float(loss.data) == float(y.data.sum())  # data outlives the tape
         assert x.grad.shape == (1, 2) and w.grad.shape == (2, 1)
         with pytest.raises(NotAttached):
             loss.backward()

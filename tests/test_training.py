@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmtune import autograd as ag
-from mmtune import training
+from mmtune import encoders, training
 from mmtune.alignment import align, transform
 from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
@@ -18,8 +18,8 @@ from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import KINDS, MediaRef, ModalityConfig, encode
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
-                           EmptyDataset, NoResponseSpan, SequenceTooLong,
-                           VersionMismatch)
+                           EmptyDataset, NoResponseSpan, SchemaError,
+                           SequenceTooLong, VersionMismatch)
 from mmtune.training import (AdamState, Checkpoint, TrainConfig,
                              _batch_loss_and_grads, build_pack,
                              build_sequence, evaluate, fit, frame,
@@ -407,45 +407,106 @@ class TestFrame:
 
     @staticmethod
     def count_resolutions(monkeypatch):
-        """Count MediaRef.from_path and Vocab.encode calls from here on."""
+        """Count MediaRef.from_path, encoders.encode ("features"),
+        encoders.load_features and Vocab.encode calls from here on."""
         calls = Counter()
-        from_path, encode = MediaRef.from_path.__func__, Vocab.encode
+        from_path = MediaRef.from_path.__func__
 
         def counting_from_path(cls, *args, **kwargs):
             calls["from_path"] += 1
             return from_path(cls, *args, **kwargs)
 
-        def counting_encode(self, text):
-            calls["encode"] += 1
-            return encode(self, text)
+        def counted(key, fn):
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counting
 
         monkeypatch.setattr(MediaRef, "from_path",
                             classmethod(counting_from_path))
-        monkeypatch.setattr(Vocab, "encode", counting_encode)
+        monkeypatch.setattr(encoders, "encode",
+                            counted("features", encoders.encode))
+        monkeypatch.setattr(encoders, "load_features",
+                            counted("load_features", encoders.load_features))
+        monkeypatch.setattr(Vocab, "encode", counted("encode", Vocab.encode))
         return calls
+
+    @staticmethod
+    def short_fit_examples(paths):
+        """The benchmark's short fit: 48 examples over the 12 media `paths`,
+        whose kinds cycle through KINDS."""
+        return [InstructionExample(
+            id=f"s{i}", instruction="i" * 14, response="r" * 12,
+            media=({"kind": KINDS[i % 3], "path": str(paths[i % 12])},),
+            source="synthetic") for i in range(48)]
+
+    def fit_and_evaluate(self, examples, dec_cfg, mod_cfg, vocab, calls):
+        """The calls counted in a 4 x 4 a step, 4 epoch fit of `examples`,
+        then in an evaluate of them."""
+        cfg = TrainConfig(epochs=4, micro_batch=4, grad_accum=4, max_seq_len=128)
+        dec_cfg = dataclasses.replace(dec_cfg, max_seq_len=128)
+        ckpt, metrics = fit(examples, dec_cfg, mod_cfg, vocab, cfg)
+        assert len(metrics) == 12
+        in_fit = Counter(calls)
+        calls.clear()
+        evaluate(examples, ckpt)
+        return in_fit, Counter(calls)
 
     def test_each_example_is_framed_once_per_call(self, tiny_dec_cfg,
                                                   tiny_mod_cfg, vocab,
                                                   tmp_path, monkeypatch):
-        # the benchmark's short fit: 48 examples over 12 media files, 4 x 4
-        # a step, 4 epochs; each file is read and each text encoded once a
-        # call, not once an epoch and use
+        # each file is read and encoded and each text encoded once a call,
+        # not once an epoch and use
         paths = [tmp_path / f"m{i}.bin" for i in range(12)]
         for i, p in enumerate(paths):
             p.write_bytes(bytes([i]) * 64)
-        examples = [InstructionExample(
-            id=f"s{i}", instruction="i" * 14, response="r" * 12,
-            media=({"kind": KINDS[i % 3], "path": str(paths[i % 12])},),
-            source="synthetic") for i in range(48)]
-        cfg = TrainConfig(epochs=4, micro_batch=4, grad_accum=4, max_seq_len=128)
-        dec_cfg = dataclasses.replace(tiny_dec_cfg, max_seq_len=128)
         calls = self.count_resolutions(monkeypatch)
-        ckpt, metrics = fit(examples, dec_cfg, tiny_mod_cfg, vocab, cfg)
-        assert len(metrics) == 12
-        assert calls == {"from_path": 12, "encode": 96}
-        calls.clear()
-        evaluate(examples, ckpt)
-        assert calls == {"from_path": 12, "encode": 96}
+        in_fit, in_eval = self.fit_and_evaluate(
+            self.short_fit_examples(paths), tiny_dec_cfg, tiny_mod_cfg, vocab,
+            calls)
+        assert in_fit == {"from_path": 12, "features": 12, "encode": 96}
+        assert in_eval == {"from_path": 12, "features": 12, "encode": 96}
+
+    def test_a_feature_file_is_read_once_per_call(self, tiny_dec_cfg,
+                                                  tiny_mod_cfg, vocab,
+                                                  tmp_path, monkeypatch):
+        paths = [tmp_path / f"m{i}.mcwf" for i in range(12)]
+        for i, p in enumerate(paths):
+            kind = KINDS[i % 3]
+            encoders.save_features(str(p), kind, np.full(
+                (tiny_mod_cfg.length(kind), tiny_mod_cfg.dim(kind)), i / 12))
+        calls = self.count_resolutions(monkeypatch)
+        in_fit, in_eval = self.fit_and_evaluate(
+            self.short_fit_examples(paths), tiny_dec_cfg, tiny_mod_cfg, vocab,
+            calls)
+        for counted in (in_fit, in_eval):
+            assert counted == {"from_path": 12, "features": 12,
+                               "load_features": 12, "encode": 96}
+
+    def test_a_recurring_item_runs_the_stub_once_per_call(self, tiny_mod_cfg,
+                                                          vocab, monkeypatch):
+        runs = []
+        for name in ("stub_encode", "encode_video"):
+            def counted(media, cfg, fn=getattr(encoders, name)):
+                runs.append(media.kind)
+                return fn(media, cfg)
+            monkeypatch.setattr(encoders, name, counted)
+        media = ({"kind": "image", "path": "m"},
+                 {"kind": "video", "path": "m", "frames": 40},
+                 {"kind": "audio", "path": "m"})
+        examples = [dataclasses.replace(ex, media=media)
+                    for ex in make_examples(3)]
+        first = frame(examples, tiny_mod_cfg, vocab)
+        assert sorted(runs) == sorted(KINDS)
+        for r in first[1:]:
+            for kind in KINDS:
+                assert r.media[kind] is first[0].media[kind]
+        # the next call encodes again, to the same features
+        again = frame(examples, tiny_mod_cfg, vocab)
+        assert len(runs) == 6
+        for kind in KINDS:
+            np.testing.assert_array_equal(again[0].media[kind],
+                                          first[0].media[kind])
 
 
 class TestPackLayout:
@@ -727,6 +788,46 @@ class TestFit:
             with pytest.raises(ConfigError, match="dataset"):
                 fit(other, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
                     resume_from=ckpt)
+
+    def test_a_resumed_checkpoint_object_is_the_run_state(
+            self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        # fit trains the checkpoint it resumes in place, so its step must
+        # advance with its params and Adam state, or a second resume from
+        # it runs again on trained params
+        data = make_examples(8)
+        cfg = self.small_cfg(micro_batch=1, grad_accum=2)
+        total = total_optimizer_steps(len(data), cfg)
+        assert total == 8
+        fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg, out_dir=str(tmp_path))
+        ck, _ = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg, max_steps=2)
+        resumed, metrics = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                               resume_from=ck)
+        assert resumed is ck and len(metrics) == total - 2
+        assert ck.step == ck.opt_state.t == total
+        _, metrics = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
+                         resume_from=ck)
+        assert metrics == [] and ck.step == ck.opt_state.t == total
+        save_checkpoint(str(tmp_path / "resumed.ckpt"), ck)
+        assert ((tmp_path / "resumed.ckpt").read_bytes()
+                == (tmp_path / "final.ckpt").read_bytes())
+
+    def test_a_bad_feature_file_fails_before_step_0(self, tiny_dec_cfg,
+                                                    tiny_mod_cfg, vocab,
+                                                    tmp_path):
+        # features of 5 rows for an image item, whose configured rows are 6,
+        # named by the last of 8 one-example steps' examples
+        feats = tmp_path / "f.mcwf"
+        encoders.save_features(str(feats), "image", np.zeros((5, 5)))
+        bad = InstructionExample(id="bad", source="s", instruction="what",
+                                 response="x",
+                                 media=({"kind": "image", "path": str(feats)},))
+        out, logged = tmp_path / "run", []
+        out.mkdir()
+        with pytest.raises(SchemaError, match=r"\(5, 5\)"):
+            fit(make_examples(7) + [bad], tiny_dec_cfg, tiny_mod_cfg, vocab,
+                self.small_cfg(epochs=1, micro_batch=1, grad_accum=1),
+                out_dir=str(out), log_fn=logged.append)
+        assert logged == [] and os.listdir(out) == []
 
     def test_max_steps_stop_writes_no_epoch_checkpoint(
             self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
