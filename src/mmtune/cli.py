@@ -120,24 +120,30 @@ def _cmd_train(args) -> int:
         for ex in examples:
             by_source.setdefault(ex.source, []).append(ex)
         examples = ds.mix(by_source, n, cfg["data"]["seed"])
+    resume = load_checkpoint(args.resume) if args.resume else None
+    start = resume.step if resume else 0
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
-    # a resumed run continues the log of the run it resumes; a fresh one
-    # empties it only once it has run a step or saved its checkpoint, so a
-    # run that fails before then leaves the log of the run already there
-    with open(log_path, "a", encoding="utf-8") as log:
+    # a run keeps the log lines of the steps before its first, and only once
+    # it has run a step or saved its checkpoint, so a run that fails before
+    # then leaves the log of the run already there
+    with open(log_path, "a+", encoding="utf-8") as log:
         def log_fn(m):
-            if m["step"] == 0 and not args.resume:
+            if m["step"] == start:
+                log.seek(0)
+                kept = [line for line in log
+                        if start and json.loads(line)["step"] < start]
                 log.truncate(0)
+                log.writelines(kept)
             log.write(json.dumps({"step": m["step"], "loss": m["loss"],
                                   "lr": m["lr"], "grad_norm": m["grad_norm"]},
                                  sort_keys=True) + "\n")
 
         ckpt, metrics = fit(examples, objs["model"], objs["modality"], Vocab(),
                             objs["train"], out_dir=args.out,
-                            resume_from=args.resume, max_steps=args.max_steps,
+                            resume_from=resume, max_steps=args.max_steps,
                             log_fn=log_fn)
-        if not (metrics or args.resume):
+        if not (metrics or resume):
             log.truncate(0)
     print(f"trained {ckpt.step} steps; final loss "
           f"{metrics[-1]['loss']:.6f}" if metrics else

@@ -34,6 +34,9 @@ _CKPT_VERSION = 5
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A step takes micro_batch * grad_accum examples, which fill packs in
+    order of at most micro_batch examples, one forward and backward each."""
+
     lr_peak: float = 3e-5
     warmup_ratio: float = 0.03
     epochs: int = 5
@@ -172,12 +175,13 @@ def response_nll(logits: Tensor, seq: InstructionSequence,
     return ag.sum_all(ag.mul(picked, weights))
 
 
-def _packs(records, limit: int):
-    """Yield the Framed `records`, in order, as packs whose rows total at
-    most `limit`; a record longer than that is a pack alone."""
+def _packs(records, limit: int, most: int):
+    """Yield the Framed `records`, in order, as packs of at most `most`
+    records whose rows total at most `limit`; a record longer than that is a
+    pack alone."""
     pack, rows = [], 0
     for r in records:
-        if pack and rows + r.rows > limit:
+        if pack and (rows + r.rows > limit or len(pack) == most):
             yield pack
             pack, rows = [], 0
         pack.append(r)
@@ -186,12 +190,12 @@ def _packs(records, limit: int):
         yield pack
 
 
-def _pack_nlls(records, params, dec_cfg, mod_cfg, cfg, reduction):
+def _pack_nlls(records, params, dec_cfg, mod_cfg, cfg, reduction, most):
     """Yield the response NLL of each pack of the Framed `records`, in
     order: its rows are built when it runs and go through one forward, in
     which each example attends only to itself."""
     limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
-    for pack in _packs(records, limit):
+    for pack in _packs(records, limit, most):
         seq = build_pack(pack, params, dec_cfg, mod_cfg, cfg)
         logits = forward(seq, params, dec_cfg, tails=seq.tails)
         yield response_nll(logits, seq, reduction=reduction)
@@ -249,28 +253,26 @@ def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
         p -= step
 
 
-def _batch_loss_and_grads(records, params, dec_cfg, mod_cfg, cfg,
-                          micro_batches):
-    """Accumulate gradients of the mean loss over the Framed `records`,
-    computed in micro-batch chunks. Returns (loss value, grads dict), whose
-    arrays are the parameters' own .grad, zeros where a parameter got no
-    gradient.
+def _batch_loss_and_grads(records, params, dec_cfg, mod_cfg, cfg):
+    """Accumulate gradients of the mean loss over the Framed `records`.
+    Returns (loss value, grads dict), whose arrays are the parameters' own
+    .grad, zeros where a parameter got no gradient.
 
-    Each micro-batch runs in packs of consecutive examples whose rows total
-    at most min(cfg.max_seq_len, dec_cfg.max_seq_len), one backward a pack.
-    So at most one pack's tape is alive at a time, and it is no larger than
-    one max-length example's, whatever the micro-batch size."""
+    The records fill packs in order, each of at most cfg.micro_batch
+    examples whose rows total at most min(cfg.max_seq_len,
+    dec_cfg.max_seq_len), one backward a pack. So at most one pack's tape is
+    alive at a time, and it is no larger than one a micro-batch of
+    max-length examples would make."""
     n_total = len(records)
     params.zero_grad()
     total_loss = 0.0
-    for micro in micro_batches:
-        for nll in _pack_nlls(micro, params, dec_cfg, mod_cfg, cfg,
-                              cfg.loss_reduction):
-            # normalized by the full batch size, so grads accumulated over
-            # packs and micros equal the single-batch mean gradient
-            loss = ag.mul(nll, 1.0 / n_total)
-            loss.backward()
-            total_loss += float(loss.data)
+    for nll in _pack_nlls(records, params, dec_cfg, mod_cfg, cfg,
+                          cfg.loss_reduction, cfg.micro_batch):
+        # normalized by the full batch size, so grads accumulated over
+        # packs equal the single-batch mean gradient
+        loss = ag.mul(nll, 1.0 / n_total)
+        loss.backward()
+        total_loss += float(loss.data)
     for t in params.tensors.values():
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
@@ -281,11 +283,9 @@ def train_step(batch, params: ModelParams, opt_state: AdamState,
                cfg: TrainConfig, dec_cfg: DecoderConfig,
                mod_cfg: ModalityConfig, lr: float) -> dict:
     """One optimizer update from one macro-batch of Framed records
-    (micro_batch*grad_accum, possibly fewer at the epoch tail)."""
-    micros = [batch[i:i + cfg.micro_batch]
-              for i in range(0, len(batch), cfg.micro_batch)]
-    loss, grads = _batch_loss_and_grads(batch, params, dec_cfg, mod_cfg, cfg,
-                                        micros)
+    (micro_batch*grad_accum, possibly fewer at the epoch tail), run as the
+    packs _batch_loss_and_grads fills across micro-batch boundaries."""
+    loss, grads = _batch_loss_and_grads(batch, params, dec_cfg, mod_cfg, cfg)
     norm = math.sqrt(sum(float((g * g).sum()) for _, g in sorted(grads.items())))
     if cfg.max_grad_norm is not None and norm > cfg.max_grad_norm:
         scale = cfg.max_grad_norm / norm
@@ -398,15 +398,17 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
 
 
 def evaluate(dataset, ckpt: Checkpoint) -> dict:
-    """Mean response NLL and perplexity over a dataset, run in packs as
-    training runs them."""
+    """Mean response NLL and perplexity over a dataset, run in packs filled
+    by rows alone: no forward here keeps a tape, so micro_batch does not
+    cap them."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
     with ag.no_grad():
         total = sum(float(nll.data) for nll in _pack_nlls(
             frame(dataset, ckpt.mod_cfg, ckpt.vocab), ckpt.params,
-            ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg, "mean"))
+            ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg, "mean",
+            len(dataset)))
     mean_nll = total / len(dataset)
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}

@@ -165,14 +165,14 @@ class TestAcceptance:
         assert train.max_seq_len == 512
 
         examples = make_examples(12)
-        tcfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
-        micros = [examples[i:i + 4] for i in range(0, 12, 4)]
+        tcfg_a = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
+        tcfg_b = TrainConfig(micro_batch=12, grad_accum=1, max_seq_len=96)
         loss_a, grads_a = _batch_loss_and_grads(
             frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
-            tiny_mod_cfg, tcfg, [frame(m, tiny_mod_cfg, vocab) for m in micros])
+            tiny_mod_cfg, tcfg_a)
         loss_b, grads_b = _batch_loss_and_grads(
             frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
-            tiny_mod_cfg, tcfg, [frame(examples, tiny_mod_cfg, vocab)])
+            tiny_mod_cfg, tcfg_b)
         assert loss_a == pytest.approx(loss_b, abs=1e-10)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name],

@@ -249,6 +249,24 @@ class TestTrainEvalGenerate:
         assert len(first) == 1 and len(lines) == 2
         assert lines[0] == first[0] and json.loads(lines[1])["step"] == 1
 
+    def test_resume_from_an_earlier_checkpoint_rewrites_its_steps(
+            self, trained, tmp_path):
+        # 50 examples at 25 a step: two steps an epoch. Resuming from the
+        # first epoch's checkpoint runs steps 2 and 3 again, and their lines
+        # replace the ones already logged rather than follow them
+        cfg = write_cfg(tmp_path, train={"epochs": 2, "micro_batch": 5,
+                                         "grad_accum": 5, "lr_peak": 1e-3,
+                                         "max_seq_len": 128})
+        out = tmp_path / "run"
+        base = ["train", "--config", cfg, "--data", trained["data"],
+                "--out", str(out)]
+        assert dispatch(base) == 0
+        first = (out / "metrics.jsonl").read_text().splitlines()
+        assert dispatch(base + ["--resume", str(out / "epoch1.ckpt")]) == 0
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == [0, 1, 2, 3]
+        assert lines == first  # the resume reproduces the run bitwise
+
     def test_failed_train_keeps_previous_log(self, trained, tmp_path):
         # the second run fails at its first step, on a feature file that
         # holds audio features for an image item

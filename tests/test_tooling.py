@@ -59,7 +59,7 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
 
 
 def test_benchmark_tracer_sees_each_pack_of_a_step(monkeypatch):
-    # two packs of three, one a micro-batch: a training step calls the
+    # two packs of three, each a micro-batch: a training step calls the
     # layout, the model and the loss once a pack, each under the name the
     # tracer wraps, so the benchmark's per-layer view of training does not
     # silently read 0
@@ -70,7 +70,7 @@ def test_benchmark_tracer_sees_each_pack_of_a_step(monkeypatch):
     tracer.start()
     try:
         _batch_loss_and_grads(examples, params, dec_cfg, mod_cfg,
-                              TrainConfig(), [examples[:3], examples[3:]])
+                              TrainConfig(micro_batch=3))
     finally:
         record = tracer.stop()
     for name in ("alignment.assemble_prefix", "cognitive.forward",
@@ -97,7 +97,7 @@ def test_no_add_in_the_model_broadcasts(monkeypatch, tiny_mod_cfg):
     examples = make_examples(6)
     records = frame(examples, tiny_mod_cfg, Vocab())
     _batch_loss_and_grads(records, params, dec_cfg, tiny_mod_cfg,
-                          TrainConfig(max_seq_len=96), [records])
+                          TrainConfig(max_seq_len=96))
     seq = build_sequence(examples[0], params, dec_cfg, tiny_mod_cfg, Vocab(),
                          with_response=False)
     generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
@@ -171,8 +171,7 @@ def test_last_layer_runs_only_the_rows_a_loss_reads(monkeypatch):
     pack, params, dec_cfg, mod_cfg = short_pack()
     pack = frame(pack, mod_cfg, Vocab())
     rows = gelu_rows(monkeypatch)
-    _batch_loss_and_grads(pack, params, dec_cfg, mod_cfg, TrainConfig(),
-                          [pack])
+    _batch_loss_and_grads(pack, params, dec_cfg, mod_cfg, TrainConfig())
     assert rows[0] == 99
     assert rows[-1] <= 42, rows
 

@@ -128,14 +128,33 @@ class TestGradAccumulation:
     def test_micro_batches_match_single_batch(self, tiny_dec_cfg, tiny_mod_cfg,
                                               vocab, tiny_params):
         examples = make_examples(12)
-        cfg = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
-        micros = [examples[i:i + 4] for i in range(0, 12, 4)]
+        cfg_a = TrainConfig(micro_batch=4, grad_accum=3, max_seq_len=96)
+        cfg_b = TrainConfig(micro_batch=12, grad_accum=1, max_seq_len=96)
         loss_a, grads_a = _batch_loss_and_grads(
             frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
-            tiny_mod_cfg, cfg, [frame(m, tiny_mod_cfg, vocab) for m in micros])
+            tiny_mod_cfg, cfg_a)
         loss_b, grads_b = _batch_loss_and_grads(
             frame(examples, tiny_mod_cfg, vocab), tiny_params, tiny_dec_cfg,
-            tiny_mod_cfg, cfg, [frame(examples, tiny_mod_cfg, vocab)])
+            tiny_mod_cfg, cfg_b)
+        assert loss_a == pytest.approx(loss_b, abs=1e-12)
+        for name in grads_a:
+            np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
+
+    @pytest.mark.parametrize("micro", [1, 2])
+    def test_small_micro_batches_match_single_batch(self, tiny_dec_cfg,
+                                                    tiny_mod_cfg, vocab,
+                                                    tiny_params, micro):
+        # other packs than one micro-batch of 12 builds, the same mean
+        records = frame(make_examples(12), tiny_mod_cfg, vocab)
+
+        def run(micro_batch):
+            return _batch_loss_and_grads(
+                records, tiny_params, tiny_dec_cfg, tiny_mod_cfg,
+                TrainConfig(micro_batch=micro_batch,
+                            grad_accum=12 // micro_batch, max_seq_len=96))
+
+        loss_a, grads_a = run(micro)
+        loss_b, grads_b = run(12)
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-10)
@@ -148,7 +167,7 @@ class TestGradAccumulation:
         examples = frame(make_examples(6, kinds=("image",)), tiny_mod_cfg, vocab)
         _, grads = _batch_loss_and_grads(
             examples, params, tiny_dec_cfg, tiny_mod_cfg,
-            TrainConfig(max_seq_len=96), [examples[:4], examples[4:]])
+            TrainConfig(max_seq_len=96))
         assert list(grads) == params.names()
         for name in params.names():
             assert grads[name] is params[name].grad, name
@@ -168,9 +187,8 @@ class TestGradAccumulation:
         lengths = record_forward_lengths(monkeypatch)
         records = frame(examples, tiny_mod_cfg, vocab)
         loss, grads = _batch_loss_and_grads(
-            records, tiny_params, tiny_dec_cfg, tiny_mod_cfg, cfg,
-            [records[i:i + 4] for i in range(0, 12, 4)])
-        assert len(lengths) == 6 and max(lengths) <= 96, lengths
+            records, tiny_params, tiny_dec_cfg, tiny_mod_cfg, cfg)
+        assert len(lengths) == 4 and max(lengths) <= 96, lengths
         # the reference: full logits, one example per forward and backward
         tiny_params.zero_grad()
         want_loss = 0.0
@@ -193,23 +211,77 @@ class TestGradAccumulation:
         # 38-41 rows each; an example longer than the limit runs alone
         examples = frame([dataclasses.replace(ex, instruction=ex.instruction * 2)
                           for ex in make_examples(9)], tiny_mod_cfg, vocab)
-        packs = list(training._packs(examples, limit))
-        assert [ex for pack in packs for ex in pack] == examples
-        totals = [sum(ex.rows for ex in pack) for pack in packs]
-        for pack, total in zip(packs, totals):
-            assert total <= limit or len(pack) == 1
-        # greedy: each pack is closed by an example that would not fit
-        for total, nxt in zip(totals, packs[1:]):
-            assert total + nxt[0].rows > limit
+        for most in (1, 2, 3, 9):
+            packs = list(training._packs(examples, limit, most))
+            assert [ex for pack in packs for ex in pack] == examples
+            totals = [sum(ex.rows for ex in pack) for pack in packs]
+            for pack, total in zip(packs, totals):
+                assert total <= limit or len(pack) == 1
+                assert len(pack) <= most
+            # greedy: each pack is closed by an example that would not fit,
+            # or by the cap on its examples
+            for pack, total, nxt in zip(packs, totals, packs[1:]):
+                assert total + nxt[0].rows > limit or len(pack) == most
+
+    @staticmethod
+    def short_examples(n):
+        """The benchmark's short workload: 33-row examples under the tiny
+        modality config."""
+        return [dataclasses.replace(ex, instruction="i" * 16, response="r" * 12)
+                for ex in make_examples(n)]
 
     def test_short_micro_batch_packs_3_and_1(self, tiny_mod_cfg, vocab):
         # the benchmark's short workload: 33-row examples, a limit of 128
-        examples = frame([dataclasses.replace(ex, instruction="i" * 16,
-                                              response="r" * 12)
-                          for ex in make_examples(4)], tiny_mod_cfg, vocab)
+        examples = frame(self.short_examples(4), tiny_mod_cfg, vocab)
         assert {ex.rows for ex in examples} == {33}
-        packs = training._packs(examples, 128)
+        packs = training._packs(examples, 128, 4)
         assert [len(p) for p in packs] == [3, 1]
+
+    def test_micro_batch_caps_a_pack_under_a_wide_limit(self, tiny_mod_cfg,
+                                                         vocab):
+        # twelve 33-row examples would fit one 512-row pack; micro_batch
+        # keeps each pack no larger than one micro-batch
+        examples = frame(self.short_examples(12), tiny_mod_cfg, vocab)
+        packs = training._packs(examples, 512, 4)
+        assert [len(p) for p in packs] == [4, 4, 4]
+
+    @staticmethod
+    def short_dec_cfg():
+        return DecoderConfig(d_e=16, layers=1, heads=2, d_ff=32,
+                             max_seq_len=128)
+
+    def test_short_step_fills_packs_across_micro_batches(self, tiny_mod_cfg,
+                                                         vocab, monkeypatch):
+        # 16 examples at micro 4: six packs of 3, 3, 3, 3, 3 and 1, not one
+        # micro-batch at a time as 3, 1, 3, 1, ... in eight
+        dec_cfg = self.short_dec_cfg()
+        params = init_params(dec_cfg, tiny_mod_cfg, np.random.default_rng(0))
+        cfg = TrainConfig(micro_batch=4, grad_accum=4, max_seq_len=128)
+        lengths = record_forward_lengths(monkeypatch)
+        _batch_loss_and_grads(frame(self.short_examples(16), tiny_mod_cfg,
+                                    vocab), params, dec_cfg, tiny_mod_cfg, cfg)
+        assert lengths == [99] * 5 + [33], lengths
+
+    def test_fit_runs_the_same_packs_at_micro_4_and_16(self, tiny_mod_cfg,
+                                                       vocab):
+        # under 128 rows a pack holds three 33-row examples either way, so a
+        # step of 16 runs the same packs at micro 4 x accum 4 and at micro
+        # 16 x accum 1, and the runs agree bitwise
+        dec_cfg = self.short_dec_cfg()
+        runs = []
+        for micro, accum in ((4, 4), (16, 1)):
+            cfg = TrainConfig(lr_peak=1e-3, epochs=2, micro_batch=micro,
+                              grad_accum=accum, max_seq_len=128, seed=3)
+            params = init_params(dec_cfg, tiny_mod_cfg,
+                                 np.random.default_rng(0))
+            ckpt, metrics = fit(self.short_examples(32), dec_cfg, tiny_mod_cfg,
+                                vocab, cfg, params=params)
+            runs.append(([(m["loss"].hex(), m["grad_norm"].hex())
+                          for m in metrics],
+                         [ckpt.params[n].data.tobytes()
+                          for n in ckpt.params.names()]))
+        assert len(runs[0][0]) == 4
+        assert runs[0] == runs[1]
 
     @staticmethod
     def tape_bound_setup(mod_cfg):
@@ -232,7 +304,7 @@ class TestGradAccumulation:
             tracemalloc.start()
             try:
                 _batch_loss_and_grads(micro, params, dec_cfg, tiny_mod_cfg,
-                                      cfg, [micro])
+                                      cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -641,15 +713,14 @@ class TestTrainStep:
                                               vocab):
         from mmtune.autograd import finite_diff_check
         examples = frame(make_examples(3), tiny_mod_cfg, vocab)
-        cfg = TrainConfig(loss_reduction="sum", max_seq_len=96)
+        cfg = TrainConfig(loss_reduction="sum", max_seq_len=96, micro_batch=2)
         params = init_params(tiny_dec_cfg, tiny_mod_cfg, np.random.default_rng(4))
 
         def fn(p):
             # the root hands the accumulated grads to the params on backward,
             # so the check compares them with differences of the summed loss
             loss, grads = _batch_loss_and_grads(
-                examples, ModelParams(p), tiny_dec_cfg, tiny_mod_cfg, cfg,
-                [examples[:2], examples[2:]])
+                examples, ModelParams(p), tiny_dec_cfg, tiny_mod_cfg, cfg)
 
             def bwd(g):
                 for name, t in p.items():
