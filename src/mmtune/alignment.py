@@ -129,8 +129,7 @@ def assemble_prefix(soft: list, items: list, texts: list,
             ids += part
         segments.append(sum(len(part) for _, _, part in parts))
         tails.append(len(resp) + 1 if resp is not None else 1)
-    rows = soft + [embed(text)]
-    rows = rows[0] if len(rows) == 1 else ag.concat_rows(rows)
+    rows = ag.concat_rows(soft + [embed(text)])
     if order != list(range(len(order))):  # else laid out already
         rows = ag.take_rows(rows, np.array(order))
     return InstructionSequence(embedded=rows, spans=spans, segments=segments,

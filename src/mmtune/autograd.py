@@ -247,10 +247,11 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
 
     The node keeps each block's probabilities P, the split q, k and v, and
     its output O. With G the output's gradient and s = 1/sqrt(d_head), the
-    backward walks the same blocks: dP = G_blk V[k0:c]^T, dS = P * (dP - D),
-    dQ_blk = s dS K[k0:c], dK[k0:c] += s dS^T Q_blk, dV[k0:c] += P^T G_blk,
-    where D = rowsum(dP * P) = rowsum(G * O) per query row and head is found
-    once per call from the n-row G and O (FlashAttention-2, Dao 2023, 3.1)."""
+    backward walks the same blocks, last to first, into dK and dV that start
+    at zero: dP = G_blk V[k0:c]^T, dS = P * (dP - D), dQ_blk = s dS K[k0:c],
+    dK[k0:c] += s dS^T Q_blk, dV[k0:c] += P^T G_blk, where D = rowsum(dP * P)
+    = rowsum(G * O) per query row and head is found once per call from the
+    n-row G and O (FlashAttention-2, Dao 2023, 3.1)."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), m = q.shape, k.shape[0]
     if d != k.shape[1]:
@@ -315,28 +316,16 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
         gh = split(g)
         rowsum = (gh * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qh)
-        dk = dv = seen = None
-        # walking backwards, the first block of each segment met is its last,
-        # which sees all of the segment's keys: its products fill dK and dV
-        # there, and the segment's earlier blocks add into them
+        # heads-first, not kh's rows-first layout, in which += runs strided
+        dk, dv = np.zeros(kh.shape), np.zeros(vh.shape)
         for (r0, r1, k0, c), p in zip(reversed(blocks), reversed(probs)):
             gb = gh[:, r0:r1]
             ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
             ds -= rowsum[:, r0:r1]
             ds *= p
             np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
-            dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]
-            dv_b = p.transpose(0, 2, 1) @ gb
-            if k0 == seen:
-                dk[:, k0:c] += dk_b
-                dv[:, k0:c] += dv_b
-            elif c - k0 == m:  # one segment: the block sees every key
-                dk, dv = dk_b, dv_b
-            else:
-                if dk is None:
-                    dk, dv = np.empty_like(kh), np.empty_like(vh)
-                dk[:, k0:c], dv[:, k0:c] = dk_b, dv_b
-            seen = k0
+            dk[:, k0:c] += ds.transpose(0, 2, 1) @ qh[:, r0:r1]
+            dv[:, k0:c] += p.transpose(0, 2, 1) @ gb
         _accum(q, merge(dq) * scale, fresh=True)
         _accum(k, merge(dk), fresh=True)
         _accum(v, merge(dv), fresh=True)
@@ -431,7 +420,10 @@ def embedding(table, ids) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
+    """The parts' rows in order; a lone part is returned as it is."""
     parts = [_as_tensor(p) for p in parts]
+    if len(parts) == 1:
+        return parts[0]
     out_data = np.concatenate([p.data for p in parts], axis=0)
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 

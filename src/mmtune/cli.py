@@ -164,8 +164,8 @@ def _cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     media = []
     for spec in args.media:
-        kind, _, path = spec.partition(":")
-        if not path:
+        kind, sep, path = spec.partition(":")
+        if not sep:
             kind, path = "image", spec
         media.append({"kind": kind, "path": path})
     ex = ds.InstructionExample(id="cli", media=ds.check_media(media, "cli"),

@@ -31,7 +31,8 @@ class DecoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("d_e", "heads", "d_ff", "max_seq_len", "alignment_heads"):
+        for name in ("d_e", "layers", "heads", "d_ff", "max_seq_len",
+                     "alignment_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("heads", "alignment_heads"):
@@ -130,7 +131,7 @@ def embed_tokens(ids, params: ModelParams) -> Tensor:
 @dataclass
 class KVCache:
     """Per-layer keys and values of the first `t` positions, in buffers of
-    `rows` rows (max_seq_len unless a caller knows it needs fewer). No
+    `rows` rows, which the caller sizes to the rows it will write. No
     gradient flows through these plain arrays, so use a cache under
     `autograd.no_grad()`."""
 
@@ -138,8 +139,7 @@ class KVCache:
     t: int = 0
 
     @classmethod
-    def empty(cls, cfg: DecoderConfig, rows: int | None = None) -> "KVCache":
-        rows = cfg.max_seq_len if rows is None else rows
+    def empty(cls, cfg: DecoderConfig, rows: int) -> "KVCache":
         return cls(np.zeros((cfg.layers, 2, rows, cfg.d_e)))
 
 
@@ -169,9 +169,8 @@ def forward(seq: InstructionSequence, params: ModelParams,
                                                       cache.kv.shape[2])
     if n > limit:
         raise SequenceTooLong(f"sequence length {n} > max {limit}")
-    pos = ag.embedding(params["pos"], np.arange(t, t + seq.length)
-                       if len(lengths) == 1 else
-                       np.concatenate([np.arange(s) for s in lengths]))
+    pos = ag.embedding(params["pos"], np.concatenate(
+        [np.arange(t, t + s) for s in lengths]))
     x = ag.add(seq.embedded, pos)
     last = cfg.layers - 1 if tails and list(tails) != lengths else None
     for i in range(cfg.layers):

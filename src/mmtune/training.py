@@ -63,10 +63,9 @@ class TrainConfig:
         for name in ("beta1", "beta2"):  # bias correction divides by 1 - beta**t
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("weight_decay", "epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.loss_reduction not in ("mean", "sum"):
             raise ValueError("loss_reduction must be 'mean' or 'sum'")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
@@ -129,8 +128,7 @@ def build_pack(pack, params: ModelParams, dec_cfg: DecoderConfig,
             q = [h for h, (_, k) in zip(queries, items) if kind in (None, k)]
             if q:
                 soft.append(align(
-                    q[0] if len(q) == 1 else ag.concat_rows(q),
-                    params.embedding,
+                    ag.concat_rows(q), params.embedding,
                     freeze_embedding=freeze, heads=dec_cfg.alignment_heads,
                     proj=params.group(f"align.{kind}") if kind else None))
         return assemble_prefix(soft, items, [(r.instr, r.resp) for r in pack],
@@ -321,7 +319,7 @@ def total_optimizer_steps(n_examples: int, cfg: TrainConfig) -> int:
 
 def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         vocab: Vocab, cfg: TrainConfig, params: ModelParams | None = None,
-        out_dir=None, resume_from: "Checkpoint | str | None" = None,
+        out_dir=None, resume_from: "Checkpoint | None" = None,
         max_steps: int | None = None, log_fn=None):
     """Run the full training loop; returns (Checkpoint, metrics list).
 
@@ -343,9 +341,8 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
     if not dataset:
         raise EmptyDataset("cannot fit on an empty dataset")
     data_hash = _dataset_hash(dataset)
-    if resume_from is not None:
-        ckpt = (load_checkpoint(resume_from) if isinstance(resume_from, str)
-                else resume_from)
+    ckpt = resume_from
+    if ckpt is not None:
         if (ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg) != (dec_cfg, mod_cfg, cfg):
             raise ConfigError("run config does not match the checkpoint's "
                               "decoder, modality and train configs")

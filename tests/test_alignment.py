@@ -293,8 +293,10 @@ class TestAttention:
 
     PARITY_CASES = pytest.mark.parametrize("n,m,segments,tails", [
         (99, 99, [33, 33, 33], None), (420, 420, None, None),
-        (1, 40, [40], [1]), (30, 99, [33, 33, 33], [13, 2, 15])],
-        ids=["pack", "lone-over-seven-blocks", "one-row-tail", "some-rows"])
+        (1, 40, [40], [1]), (30, 99, [33, 33, 33], [13, 2, 15]),
+        (150, 150, [70, 80], None)],
+        ids=["pack", "lone-over-seven-blocks", "one-row-tail", "some-rows",
+             "pack-over-two-blocks-each"])
 
     @PARITY_CASES
     @pytest.mark.parametrize("heads", [1, 4])

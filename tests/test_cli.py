@@ -455,7 +455,9 @@ class TestTrainEvalGenerate:
         ("data", "seed", "3"), ("data", "seed", 1.5), ("data", "seed", True),
         ("data", "mix", {"n_per_source": -1}), ("data", "mix", {"n_per_source": 0}),
         ("data", "mix", {"n_per_source": "3"}),
-        ("data", "mix", {"n_per_source": True})])
+        ("data", "mix", {"n_per_source": True}),
+        # numpy's generators take no negative seed; a decoder needs a layer
+        ("train", "seed", -1), ("model", "layers", 0)])
     def test_mistyped_or_out_of_range_value_exits_2(self, tmp_path, section,
                                                     key, value, capsys):
         p = tmp_path / "bad.json"
@@ -464,6 +466,12 @@ class TestTrainEvalGenerate:
                          "--out", str(tmp_path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        code = dispatch(["train", "--data", "x", "--out", str(tmp_path),
+                         "--seed", "-1"])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_eval_report(self, trained, capsys):
         code = dispatch(["eval", "--checkpoint",
@@ -509,12 +517,18 @@ class TestTrainEvalGenerate:
                          "--max-new", "8"])
         assert code == 0
 
-    def test_generate_unknown_media_kind_exits_3(self, trained, capsys):
+    @pytest.mark.parametrize("spec,error", [
+        ("bogus:x", "kind 'bogus'"),
+        # a kind with an empty path is checked as such, not taken as an image
+        ("audio:", "non-empty string path"), ("bogus:", "non-empty string path")],
+        ids=["bogus:x", "audio:", "bogus:"])
+    def test_generate_unknown_media_kind_exits_3(self, trained, capsys, spec,
+                                                 error):
         code = dispatch(["generate", "--checkpoint",
                          str(trained["out"] / "final.ckpt"),
-                         "--instruction", "hi", "--media", "bogus:x"])
+                         "--instruction", "hi", "--media", spec])
         assert code == 3
-        assert "kind 'bogus'" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_generate_media_without_kind_is_an_image(self, trained, capsys,
                                                      monkeypatch):

@@ -228,7 +228,8 @@ class TestGenerateGreedy:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < KVCache.empty(tiny_dec_cfg).kv.nbytes / 4
+        assert held < KVCache.empty(tiny_dec_cfg,
+                                     tiny_dec_cfg.max_seq_len).kv.nbytes / 4
 
     def test_prompt_allocates_only_its_own_rows(self, tiny_mod_cfg):
         # a prompt-only request on 512-row buffers writes its 5 rows: its
@@ -236,7 +237,7 @@ class TestGenerateGreedy:
         cfg = DecoderConfig()
         params = init_params(cfg, tiny_mod_cfg, np.random.default_rng(0))
         seq = text_sequence([1, 50, 60, 70, 3], params)
-        full = KVCache.empty(cfg).kv.nbytes
+        full = KVCache.empty(cfg, cfg.max_seq_len).kv.nbytes
         tracemalloc.start()
         try:
             generate_greedy(seq, 1, params, cfg, eos_id=-1)
@@ -362,7 +363,7 @@ class TestKVCache:
         cfg, params = model
         ids = list(range(4, 24))
         full = forward(text_sequence(ids, params), params, cfg).data
-        cache, rows = KVCache.empty(cfg), []
+        cache, rows = KVCache.empty(cfg, cfg.max_seq_len), []
         with ag.no_grad():
             for a, b in ((0, 7), (7, 8), (8, 20)):
                 chunk = InstructionSequence(embedded=embed_tokens(ids[a:b], params))
@@ -371,7 +372,8 @@ class TestKVCache:
         np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-10)
 
     def test_cache_overflow(self, tiny_params, tiny_dec_cfg):
-        cache = dataclasses.replace(KVCache.empty(tiny_dec_cfg),
+        cache = dataclasses.replace(KVCache.empty(tiny_dec_cfg,
+                                                  tiny_dec_cfg.max_seq_len),
                                     t=tiny_dec_cfg.max_seq_len)
         with ag.no_grad(), pytest.raises(SequenceTooLong):
             forward(text_sequence([4], tiny_params), tiny_params, tiny_dec_cfg,

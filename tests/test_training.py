@@ -809,7 +809,7 @@ class TestFit:
                               out_dir=str(full_dir))
         resumed, resumed_metrics = fit(
             data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
-            resume_from=str(full_dir / "epoch1.ckpt"))
+            resume_from=load_checkpoint(str(full_dir / "epoch1.ckpt")))
         steps_per_epoch = 2
         assert resumed_metrics == full_metrics[steps_per_epoch:]
 
@@ -832,7 +832,8 @@ class TestFit:
                 out_dir=str(stop_dir), max_steps=k)
             _, metrics = fit(data, tiny_dec_cfg, tiny_mod_cfg, vocab, cfg,
                              out_dir=str(resume_dir),
-                             resume_from=str(stop_dir / "final.ckpt"))
+                             resume_from=load_checkpoint(
+                                 str(stop_dir / "final.ckpt")))
             assert metrics == full[k:], k
             assert (resume_dir / "final.ckpt").read_bytes() == want, k
 
