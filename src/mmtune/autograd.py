@@ -245,13 +245,16 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     exponentiated or saved; its masked scores reach exp as 0, not -inf, and
     leave it as 0.0. A non-causal call is one block over every key.
 
-    The node keeps each block's probabilities P, the split q, k and v, and
-    its output O. With G the output's gradient and s = 1/sqrt(d_head), the
-    backward walks the same blocks, last to first, into dK and dV that start
-    at zero: dP = G_blk V[k0:c]^T, dS = P * (dP - D), dQ_blk = s dS K[k0:c],
-    dK[k0:c] += s dS^T Q_blk, dV[k0:c] += P^T G_blk, where D = rowsum(dP * P)
-    = rowsum(G * O) per query row and head is found once per call from the
-    n-row G and O (FlashAttention-2, Dao 2023, 3.1)."""
+    A block's exponentials stay unnormalised, P = exp(S - rowmax), and their
+    row sums l go to one heads×n×1 array; after the loop the output rows are
+    divided by l once (FlashAttention-2, Dao 2023, 3.1). The node keeps each
+    block's P, the split q, k and v, l and the output O. With G the output's
+    gradient, G' = G / l and s = 1/sqrt(d_head), the backward walks the same
+    blocks, last to first, into dK and dV that start at zero: dS = P *
+    (G'_blk V[k0:c]^T - D'), dQ_blk = s dS K[k0:c], dK[k0:c] += s dS^T Q_blk,
+    dV[k0:c] += P^T G'_blk, where D' = rowsum(G' * O) per query row and head
+    is found once per call. A key or value that takes no gradient, such as a
+    frozen embedding matrix, gets no dK or dV."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), m = q.shape, k.shape[0]
     if d != k.shape[1]:
@@ -291,6 +294,7 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     probs = []
     # rows-first in memory, like dq below, so that merge is a free reshape
     out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
+    sums = np.empty((heads, n, 1))
     for r0, r1, k0, c in blocks:
         p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
         b = r1 - r0
@@ -306,29 +310,34 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
         np.exp(p, out=p)
         if ahead is not None:
             np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
-        p /= p.sum(axis=-1, keepdims=True)
+        np.add.reduce(p, axis=-1, keepdims=True, out=sums[:, r0:r1])
         np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
         if _grad_enabled:  # without a backward only the block in hand is needed
             probs.append(p)
         del p
+    out /= sums
 
     def bwd(g):
-        gh = split(g)
+        gh = split(g) / sums
         rowsum = (gh * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qh)
         # heads-first, not kh's rows-first layout, in which += runs strided
-        dk, dv = np.zeros(kh.shape), np.zeros(vh.shape)
+        dk, dv = (np.zeros(a.shape) if t.requires_grad or t._parents else None
+                  for t, a in ((k, kh), (v, vh)))
         for (r0, r1, k0, c), p in zip(reversed(blocks), reversed(probs)):
             gb = gh[:, r0:r1]
             ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
             ds -= rowsum[:, r0:r1]
             ds *= p
             np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
-            dk[:, k0:c] += ds.transpose(0, 2, 1) @ qh[:, r0:r1]
-            dv[:, k0:c] += p.transpose(0, 2, 1) @ gb
+            if dk is not None:
+                dk[:, k0:c] += ds.transpose(0, 2, 1) @ qh[:, r0:r1]
+            if dv is not None:
+                dv[:, k0:c] += p.transpose(0, 2, 1) @ gb
         _accum(q, merge(dq) * scale, fresh=True)
-        _accum(k, merge(dk), fresh=True)
-        _accum(v, merge(dv), fresh=True)
+        for t, dt in ((k, dk), (v, dv)):
+            if dt is not None:
+                _accum(t, merge(dt), fresh=True)
 
     return _node(merge(out), (q, k, v), bwd)
 

@@ -102,16 +102,18 @@ def masked_exp_attention(q, k, v, g, heads, segments=None, tails=None):
     qh, kh, vh = split(q * scale), split(k), split(v)
     probs = []
     out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
+    sums = np.empty((heads, n, 1))
     for r0, r1, k0, c in blocks:
         p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
         b = r1 - r0
         np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ag._AHEAD[:b, :b])
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        np.add.reduce(p, axis=-1, keepdims=True, out=sums[:, r0:r1])
         np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
         probs.append(p)
-    gh = split(g)
+    out /= sums
+    gh = split(g) / sums
     rowsum = (gh * out).sum(axis=-1, keepdims=True)
     dq = np.empty_like(qh)
     dk = dv = seen = None
@@ -316,6 +318,8 @@ class TestAttention:
         for got, exp in zip([out.data] + [p[name].grad for name in "qkv"],
                             want):
             assert np.array_equal(got, exp)
+            # array_equal takes -0.0 for 0.0; the bytes tell them apart
+            assert got.tobytes() == exp.tobytes()
 
     @PARITY_CASES
     def test_exp_never_sees_minus_inf(self, monkeypatch, n, m, segments,
@@ -333,6 +337,72 @@ class TestAttention:
             patch.setattr(ag.np, "exp", recording_exp)
             attention(q, k, v, 4, causal=True, segments=segments, tails=tails)
         assert inputs and not any(inputs)
+
+    @staticmethod
+    def assert_one_path(heads, n, m, causal, segments=None, tails=None):
+        rng = np.random.default_rng(21)
+        q, k, v = (rng.normal(size=(r, 16)) for r in (n, m, m))
+        taped = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)),
+                          heads, causal=causal, segments=segments, tails=tails)
+        with ag.no_grad():
+            bare = attention(Tensor(q), Tensor(k), Tensor(v), heads,
+                             causal=causal, segments=segments, tails=tails)
+        assert taped._backward is not None and bare._backward is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    @PARITY_CASES
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_no_grad_output_equals_tape_output(self, heads, n, m, segments,
+                                               tails):
+        # inference and training run one path: a call without a tape
+        # returns the same bits as the call that keeps one
+        self.assert_one_path(heads, n, m, True, segments, tails)
+
+    def test_no_grad_align_output_equals_tape_output(self):
+        # the non-causal shape of an align call
+        self.assert_one_path(1, 12, 260, False)
+
+    @pytest.mark.parametrize("causal,segments", [(False, None),
+                                                 (True, [33, 33, 33])],
+                             ids=["not-causal", "pack"])
+    def test_saturated_scores(self, causal, segments):
+        # at scores near 1e5 in magnitude each row's exponentials still hold
+        # its max as exp(0) = 1, so its sum is at least 1: nothing overflows
+        # or divides by 0 (a RuntimeWarning fails the test)
+        rng = np.random.default_rng(22)
+        q, k = (300.0 * rng.normal(size=(99, 16)) for _ in range(2))
+        v = rng.normal(size=(99, 8))
+        scores = q[:, :8] @ k[:, :8].T / np.sqrt(8)
+        assert 5e4 < np.abs(scores).max() < 1e6
+        p = {name: Tensor(a, requires_grad=True)
+             for name, a in zip("qkv", (q, k, v))}
+        out = attention(p["q"], p["k"], p["v"], 2, causal=causal,
+                        segments=segments)
+        want = composed_attention(Tensor(q), Tensor(k), Tensor(v), 2,
+                                  causal=causal, segments=segments).data
+        assert np.isfinite(out.data).all()
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        ag.sum_all(ag.mul(out, rng.normal(size=(99, 8)))).backward()
+        for name in "qkv":
+            assert np.isfinite(p[name].grad).all()
+
+    def test_constant_keys_take_no_gradient_buffers(self):
+        # a frozen embedding matrix as keys and values takes no gradient:
+        # the backward forms no key-sized dK or dV for it, so its peak stays
+        # below one keys×width array
+        rng = np.random.default_rng(23)
+        m, d = 2000, 64
+        e = ag.stop_gradient(Tensor(rng.normal(size=(m, d))))
+        q = Tensor(rng.normal(size=(4, d)), requires_grad=True)
+        loss = ag.sum_all(attention(q, e, e))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.grad is not None and e.grad is None
+        assert peak < m * d * 8, peak / (m * d * 8)
 
     @staticmethod
     def causal_finite_diff(n, m, segments=None, tails=None):

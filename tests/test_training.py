@@ -995,6 +995,20 @@ class TestFit:
         assert rep["mean_response_nll"] == pytest.approx(np.mean(nlls),
                                                           rel=0, abs=1e-12)
 
+    def test_evaluate_matches_tape_forwards_bitwise(self, tiny_dec_cfg,
+                                                    tiny_mod_cfg, vocab):
+        # evaluate runs without a tape and training with one; the same packs
+        # through taped forwards give evaluate's mean NLL to the last bit
+        ckpt, _ = fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab,
+                      self.small_cfg(epochs=1))
+        examples = make_examples(10)
+        nlls = list(training._pack_nlls(
+            frame(examples, ckpt.mod_cfg, ckpt.vocab), ckpt.params,
+            ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg, "mean", len(examples)))
+        assert len(nlls) > 1 and all(nll._parents for nll in nlls)
+        want = sum(float(nll.data) for nll in nlls) / len(examples)
+        assert evaluate(examples, ckpt)["mean_response_nll"] == want
+
     def test_evaluate_report(self, tiny_dec_cfg, tiny_mod_cfg, vocab):
         cfg = self.small_cfg(epochs=1)
         ckpt, _ = fit(make_examples(4), tiny_dec_cfg, tiny_mod_cfg, vocab, cfg)
