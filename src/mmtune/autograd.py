@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import KernelTooLarge, NotAttached, ShapeMismatch
 
+_F64 = np.dtype(np.float64)  # Tensor keeps such an array without asarray's cost
+
 
 class Tensor:
     """A numpy array plus optional autograd provenance."""
@@ -24,7 +26,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = (data if type(data) is np.ndarray and data.dtype is _F64
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = tuple(parents)
@@ -157,26 +160,36 @@ def mul(a, b) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a, b, bias=None, residual=None) -> Tensor:
     """a @ b for an n×k `a` and a k×m `b`, plus the length-m `bias` row, if
-    given, added in place to every row: one node for a linear layer."""
+    given, added in place to every row, then the n×m `residual`, if given,
+    added in place: one node for a linear layer and its skip connection."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul needs n×k @ k×m, got {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
     if bias is not None:
         bias = _as_tensor(bias)
-        if bias.shape != (b.shape[1],):
+        if bias.data.shape != out_data.shape[1:]:
             raise ShapeMismatch(f"bias {bias.shape} for {b.shape[1]} columns")
         out_data += bias.data
+    if residual is not None:
+        residual = _as_tensor(residual)
+        if residual.data.shape != out_data.shape:
+            raise ShapeMismatch(f"residual {residual.shape} for {out_data.shape}")
+        out_data += residual.data
+    if not _grad_enabled:
+        return Tensor(out_data)
 
     def bwd(g):
         _accum(a, g @ b.data.T, fresh=True)
         _accum(b, a.data.T @ g, fresh=True)
         if bias is not None:
             _accum(bias, g.sum(axis=0), fresh=True)
+        if residual is not None:  # the walk then drops g, so the residual may own it
+            _accum(residual, g, fresh=True)
 
-    return _node(out_data, (a, b) if bias is None else (a, b, bias), bwd)
+    return _node(out_data, [t for t in (a, b, bias, residual) if t is not None], bwd)
 
 
 def transpose(a) -> Tensor:
@@ -256,13 +269,13 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     is found once per call. A key or value that takes no gradient, such as a
     frozen embedding matrix, gets no dK or dV."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    (n, d), m = q.shape, k.shape[0]
-    if d != k.shape[1]:
-        raise ShapeMismatch(f"query dim {d} != key dim {k.shape[1]}")
-    if m != v.shape[0]:
-        raise ShapeMismatch(f"{m} keys vs {v.shape[0]} values")
-    if d % heads or v.shape[1] % heads:
-        raise ShapeMismatch(f"widths {d}, {v.shape[1]} not divisible by {heads} heads")
+    (n, d), (m, d_k), (m_v, d_v) = q.data.shape, k.data.shape, v.data.shape
+    if d != d_k:
+        raise ShapeMismatch(f"query dim {d} != key dim {d_k}")
+    if m != m_v:
+        raise ShapeMismatch(f"{m} keys vs {m_v} values")
+    if d % heads or d_v % heads:
+        raise ShapeMismatch(f"widths {d}, {d_v} not divisible by {heads} heads")
     if not causal and (segments is not None or tails is not None):
         raise ShapeMismatch("segments and tails need a causal call")
     tails = tails or ([n] if segments is None else segments)
@@ -304,7 +317,7 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
         ahead = _AHEAD[:b, :b] if causal and b > 1 else None
         if ahead is not None:
             np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ahead)
-        p -= p.max(axis=-1, keepdims=True)
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
         if ahead is not None:
             np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
         np.exp(p, out=p)

@@ -161,7 +161,9 @@ def forward(seq: InstructionSequence, params: ModelParams,
     and values join the cache. `tails`, one count per segment, returns only
     the logits of each segment's last tails[j] rows (every row's when None).
     The last layer then runs ln1 and the K and V projections on every row,
-    which those rows attend to, and Q onwards on those rows alone."""
+    which those rows attend to, and Q onwards on those rows alone. Training,
+    eval, prefill and decode take this one path, with or without a tape;
+    each skip connection is added inside its projection's matmul node."""
     t = cache.t if cache is not None else 0
     lengths = (seq.segments if cache is None else None) or [seq.length]
     n = t + max(lengths)  # with a cache, the rows it holds after this call
@@ -169,9 +171,9 @@ def forward(seq: InstructionSequence, params: ModelParams,
                                                       cache.kv.shape[2])
     if n > limit:
         raise SequenceTooLong(f"sequence length {n} > max {limit}")
-    pos = ag.embedding(params["pos"], np.concatenate(
-        [np.arange(t, t + s) for s in lengths]))
-    x = ag.add(seq.embedded, pos)
+    pos = params["pos"]
+    x = ag.add(seq.embedded, ag.take_rows(pos, np.s_[t:n]) if len(lengths) == 1
+               else ag.embedding(pos, np.concatenate([np.arange(s) for s in lengths])))
     last = cfg.layers - 1 if tails and list(tails) != lengths else None
     for i in range(cfg.layers):
         p = f"layers.{i}"
@@ -188,11 +190,11 @@ def forward(seq: InstructionSequence, params: ModelParams,
         a = ag.attention(q, k, v, cfg.heads, causal=True,
                          segments=None if cache is not None else lengths,
                          tails=tails if i == last else None)
-        x = ag.add(x if rows is None else ag.take_rows(x, rows),
-                   ag.matmul(a, params[f"{p}.attn.wo"]))
+        x = ag.matmul(a, params[f"{p}.attn.wo"], residual=x if rows is None
+                      else ag.take_rows(x, rows))
         h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
-        x = ag.add(x, ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"]))
+        x = ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], x)
     if cache is not None:
         cache.t = n
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])
@@ -204,9 +206,9 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
                     eos_id: int = EOS) -> list:
     """Deterministic argmax decoding; stops at EOS or max_new tokens. Runs
     without a tape: the prefix runs once for its last row, then one row per
-    token. The last new token is returned but never fed back, so the prefix
-    and max_new - 1 tokens must fit in max_seq_len, and the KV cache holds
-    those rows and no more."""
+    token, its row of E taken unchecked. The last new token is returned but
+    never fed back, so the prefix and max_new - 1 tokens must fit in
+    max_seq_len, and the KV cache holds those rows and no more."""
     if prefix.span("response-text") is not None:
         raise ValueError("prefix must not contain a response span")
     rows = prefix.length + max_new - 1
@@ -221,9 +223,9 @@ def generate_greedy(prefix: InstructionSequence, max_new: int,
     with ag.no_grad():
         for _ in range(max_new):
             logits = forward(seq, params, cfg, cache, tails=[1])
-            next_id = int(np.argmax(logits.data[-1]))
+            next_id = int(logits.data[-1].argmax())
             if next_id == eos_id:
                 break
             generated.append(next_id)
-            seq = InstructionSequence(embedded=embed_tokens([next_id], params))
+            seq = InstructionSequence(embedded=ag.take_rows(params.embedding, [next_id]))
     return generated

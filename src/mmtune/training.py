@@ -13,6 +13,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import encoders
 from .alignment import InstructionSequence, align, assemble_prefix, transform
 from .autograd import Tensor
 from .cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
-                        init_params, tail_rows)
+                        init_params)
 from .dataset import example_lines
 from .encoders import KINDS, MediaRef, ModalityConfig, check_field_types
 from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
@@ -157,14 +158,14 @@ def response_nll(logits: Tensor, seq: InstructionSequence,
     out by construction. Target at position p is predicted from logits[p-1].
 
     `logits` has a row per position of `seq`, or only each segment's tail,
-    as forward(..., tails=seq.tails) returns them; a tail's rows that predict
-    no response target, such as its last, are skipped. A packed `seq` gives
-    the sum, over its examples' response spans, of each span's NLL: the mean
-    or the sum over its targets."""
+    as forward(..., tails=seq.tails) returns them: a response ends its
+    segment, so its rows open its segment's tail, which follows the rows of
+    the earlier tails. A packed `seq` gives the sum, over its examples'
+    response spans, of each span's NLL: the mean or the sum over its targets."""
     spans = _response_spans(seq)
-    rows = np.concatenate([np.arange(a - 1, b - 1) for a, b in spans])
-    if logits.shape[0] != seq.length:
-        rows = np.searchsorted(tail_rows(seq.segments, seq.tails), rows)
+    first = ({b: a - 1 for a, b in spans} if logits.shape[0] == seq.length else
+             dict(zip(accumulate(seq.segments), accumulate([0] + seq.tails))))
+    rows = np.concatenate([np.arange(first[b], first[b] + b - a) for a, b in spans])
     counts = [b - a for a, b in spans]
     targets = np.concatenate([seq.ids[a:b] for a, b in spans])
     picked = ag.pick(ag.log_softmax_rows(logits), rows, targets)

@@ -116,25 +116,16 @@ def masked_exp_attention(q, k, v, g, heads, segments=None, tails=None):
     gh = split(g) / sums
     rowsum = (gh * out).sum(axis=-1, keepdims=True)
     dq = np.empty_like(qh)
-    dk = dv = seen = None
+    # zeroed heads-first buffers that every block adds into
+    dk, dv = np.zeros(kh.shape), np.zeros(vh.shape)
     for (r0, r1, k0, c), p in zip(reversed(blocks), reversed(probs)):
         gb = gh[:, r0:r1]
         ds = gb @ vh[:, k0:c].transpose(0, 2, 1)
         ds -= rowsum[:, r0:r1]
         ds *= p
         np.matmul(ds, kh[:, k0:c], out=dq[:, r0:r1])
-        dk_b = ds.transpose(0, 2, 1) @ qh[:, r0:r1]
-        dv_b = p.transpose(0, 2, 1) @ gb
-        if k0 == seen:
-            dk[:, k0:c] += dk_b
-            dv[:, k0:c] += dv_b
-        elif c - k0 == m:
-            dk, dv = dk_b, dv_b
-        else:
-            if dk is None:
-                dk, dv = np.empty_like(kh), np.empty_like(vh)
-            dk[:, k0:c], dv[:, k0:c] = dk_b, dv_b
-        seen = k0
+        dk[:, k0:c] += ds.transpose(0, 2, 1) @ qh[:, r0:r1]
+        dv[:, k0:c] += p.transpose(0, 2, 1) @ gb
     return merge(out), merge(dq) * scale, merge(dk), merge(dv)
 
 

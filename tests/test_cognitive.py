@@ -177,6 +177,23 @@ class TestForward:
         rows = cognitive.tail_rows(lengths, tails)
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("tails", ["last", "some", "all"])
+    @pytest.mark.parametrize("segments", [None, [5, 7], [3, 4, 5]])
+    def test_no_grad_logits_equal_tape_logits(self, tiny_params, tiny_dec_cfg,
+                                              segments, tails):
+        # ops skip their backward closures without a tape, and nothing else
+        # about the forward may change: eval and decode share train's path
+        seq = text_sequence(range(20, 32), tiny_params)
+        lengths = segments or [12]
+        seq.segments = lengths
+        tails = {"last": [1] * len(lengths), "some": [2, 4, 3][:len(lengths)],
+                 "all": lengths}[tails]
+        taped = forward(seq, tiny_params, tiny_dec_cfg, tails=tails)
+        with ag.no_grad():
+            plain = forward(seq, tiny_params, tiny_dec_cfg, tails=tails)
+        assert taped._parents and not plain._parents
+        assert plain.data.tobytes() == taped.data.tobytes()
+
     def test_tails_must_fit_their_segments(self, tiny_params, tiny_dec_cfg):
         seq = text_sequence(range(20, 32), tiny_params)
         for segments, tails in (([5, 7], [6, 1]), ([5, 7], [2]), (None, [0])):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -76,6 +77,56 @@ class TestMatmul:
         assert np.array_equal(got_out, want_out)
         for n in data:
             assert np.array_equal(got[n], want[n]), n
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_residual_matches_composed_add_bitwise(self, bias, tape):
+        # the oracle adds the residual in its own node; the residual is an
+        # intermediate that a second op also reads, as the decoder's x is
+        rng = np.random.default_rng(4)
+        data = {"x": rng.normal(size=(9, 5)), "w": rng.normal(size=(5, 6)),
+                "b": rng.normal(size=6), "r": rng.normal(size=(9, 6))}
+        upstream = Tensor(rng.normal(size=(9, 6)))
+
+        def run(op):
+            p = {n: Tensor(a.copy(), requires_grad=True) for n, a in data.items()}
+            with contextlib.nullcontext() if tape else ag.no_grad():
+                r = ag.gelu(p["r"])
+                out = op(p["x"], p["w"], p["b"] if bias else None, r)
+                loss = ag.sum_all(ag.mul(ag.add(out, r), upstream))
+            if tape:
+                loss.backward()
+            return [out.data] + [p[n].grad for n in data]
+
+        got = run(lambda x, w, b, r: ag.matmul(x, w, b, residual=r))
+        want = run(lambda x, w, b, r: ag.add(r, ag.matmul(x, w, b)))
+        assert got[0].tobytes() == want[0].tobytes()
+        for n, g, w in zip(data, got[1:], want[1:]):
+            if not tape or (n == "b" and not bias):
+                assert g is None and w is None, n
+            else:
+                assert g.tobytes() == w.tobytes(), n
+
+    def test_residual_matches_finite_diff(self):
+        rng = np.random.default_rng(5)
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True)
+                  for n, s in (("x", (4, 3)), ("w", (3, 5)), ("b", (5,)),
+                               ("r", (4, 5)))}
+        weights = Tensor(rng.normal(size=(4, 5)))
+
+        def fn(p):
+            r = ag.gelu(p["r"])
+            out = ag.matmul(p["x"], p["w"], p["b"], residual=r)
+            return ag.sum_all(ag.mul(ag.layernorm_rows(out, np.ones(5),
+                                                       np.zeros(5)), weights))
+
+        rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
+        assert rep.passed, rep.failures[:3]
+
+    def test_residual_of_another_shape(self):
+        with pytest.raises(ShapeMismatch, match="residual"):
+            ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
+                      residual=Tensor(np.ones(4)))
 
     def test_bias_of_another_width(self):
         with pytest.raises(ShapeMismatch, match="bias"):
@@ -459,6 +510,22 @@ class TestBackward:
 
         rep = finite_diff_check(fn, params, h=1e-5, tol=1e-4)
         assert rep.passed, rep.failures[:3]
+
+
+class TestTensor:
+    @pytest.mark.parametrize("data", [np.arange(3), np.ones(3, dtype=np.float32),
+                                      [1, 2.5, 3], 2, np.float32(0.1),
+                                      np.ones(3, dtype=">f8")])
+    def test_stores_float64(self, data):
+        # an op's float64 array is kept as it is; anything else is converted
+        t = Tensor(data)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert t.data.dtype.isnative
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_keeps_a_float64_array(self):
+        a = np.ones((2, 3))
+        assert Tensor(a).data is a
 
 
 class TestNoGrad:

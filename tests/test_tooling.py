@@ -12,7 +12,7 @@ from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
 from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_pack,
-                             build_sequence, frame)
+                             build_sequence, frame, response_nll)
 from conftest import make_examples
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -152,6 +152,28 @@ def test_a_prompt_builds_no_tape():
     assert tape_nodes(full.embedded) > 1
 
 
+def test_residual_adds_join_their_projections_on_the_tape(monkeypatch):
+    # the oracle splits each skip connection back out of its matmul into an
+    # add node, as the decoder once recorded it: two nodes more a layer
+    pack, params, dec_cfg, mod_cfg = short_pack()
+    records = frame(pack, mod_cfg, Vocab())
+
+    def loss_nodes():
+        seq = build_pack(records, params, dec_cfg, mod_cfg, TrainConfig())
+        logits = cognitive.forward(seq, params, dec_cfg, tails=seq.tails)
+        return tape_nodes(response_nll(logits, seq))
+
+    joined = loss_nodes()
+    matmul = autograd.matmul
+
+    def split_residual(a, b, bias=None, residual=None):
+        out = matmul(a, b, bias)
+        return out if residual is None else autograd.add(residual, out)
+
+    monkeypatch.setattr(autograd, "matmul", split_residual)
+    assert joined == loss_nodes() - 2 * dec_cfg.layers
+
+
 def gelu_rows(monkeypatch):
     """Record the rows of each gelu input from here on."""
     rows = []
@@ -211,5 +233,7 @@ def test_decode_step_makes_the_same_op_calls(monkeypatch):
     monkeypatch.setattr(cognitive, "forward", recording_forward)
     generate_greedy(seq, 2, params, dec_cfg, eos_id=-1)
     step = after_each_forward[1] - after_each_forward[0]
-    assert step == Counter(matmul=13, layernorm_rows=5, add=5, attention=2,
-                           gelu=2, embedding=2, transpose=1), step
+    # each residual add joins its projection's matmul, and the position and
+    # the fed token's rows are plain row slices of their tables
+    assert step == Counter(matmul=13, layernorm_rows=5, add=1, attention=2,
+                           gelu=2, take_rows=2, transpose=1), step

@@ -11,10 +11,10 @@ import pytest
 
 from mmtune import autograd as ag
 from mmtune import encoders, training
-from mmtune.alignment import align, transform
+from mmtune.alignment import align, assemble_prefix, transform
 from mmtune.autograd import Tensor
 from mmtune.cognitive import (DecoderConfig, ModelParams, embed_tokens, forward,
-                              init_params)
+                              init_params, tail_rows)
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import KINDS, MediaRef, ModalityConfig, encode
 from mmtune.errors import (BadMagic, ConfigError, CorruptPayload,
@@ -88,6 +88,36 @@ class TestResponseNLL:
         n_resp = seq.span("response-text")[1] - seq.span("response-text")[0]
         total = response_nll(logits, seq, reduction="sum")
         assert total.data == pytest.approx(n_resp * math.log(260), rel=1e-12)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_tail_rows_of_a_mixed_pack(self, monkeypatch, tiny_params,
+                                       reduction):
+        # three 33-row segments whose tails are 13, 2 and 33 rows: tails-only
+        # logits are read at the rows a search of the tails' absolute rows
+        # finds, and give the full logits' loss and gradients, bit for bit
+        rng = np.random.default_rng(7)
+        texts = [(list(rng.integers(4, 260, size=33 - r)),
+                  list(rng.integers(4, 260, size=r))) for r in (12, 1, 32)]
+        seq = assemble_prefix([], [], texts, lambda i: embed_tokens(i, tiny_params))
+        assert (seq.segments, seq.tails) == ([33, 33, 33], [13, 2, 33])
+        rows, pick = [], ag.pick
+
+        def recording_pick(a, row_idx, col_idx):
+            rows.append(np.asarray(row_idx))
+            return pick(a, row_idx, col_idx)
+
+        monkeypatch.setattr(ag, "pick", recording_pick)
+        kept = tail_rows(seq.segments, seq.tails)
+        full = Tensor(rng.normal(size=(99, 260)), requires_grad=True)
+        tails = Tensor(full.data[kept], requires_grad=True)
+        want = response_nll(full, seq, reduction)
+        got = response_nll(tails, seq, reduction)
+        assert np.array_equal(rows[1], np.searchsorted(kept, rows[0]))
+        assert got.data.tobytes() == want.data.tobytes()
+        want.backward()
+        got.backward()
+        assert tails.grad.tobytes() == full.grad[kept].tobytes()
+        assert not np.delete(full.grad, kept, axis=0).any()
 
 
 class TestLrSchedule:
