@@ -46,7 +46,13 @@ class Tensor:
         The walk consumes the graph: each intermediate (a tensor with
         parents, this one included) loses its grad, parents and closure once
         its closure has run, so a second backward raises NotAttached. Leaves
-        keep their .grad."""
+        keep their .grad.
+
+        A node's .grad is an array that it alone holds (_accum copies any
+        gradient it is not handed to own), and the walk drops it right after
+        the node's closure, so a closure may write into the gradient it is
+        given or hand it on: attention divides it in place, and matmul gives
+        it to its residual."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if not self._parents:
@@ -262,12 +268,12 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     row sums l go to one heads×n×1 array; after the loop the output rows are
     divided by l once (FlashAttention-2, Dao 2023, 3.1). The node keeps each
     block's P, the split q, k and v, l and the output O. With G the output's
-    gradient, G' = G / l and s = 1/sqrt(d_head), the backward walks the same
-    blocks, last to first, into dK and dV that start at zero: dS = P *
-    (G'_blk V[k0:c]^T - D'), dQ_blk = s dS K[k0:c], dK[k0:c] += s dS^T Q_blk,
-    dV[k0:c] += P^T G'_blk, where D' = rowsum(G' * O) per query row and head
-    is found once per call. A key or value that takes no gradient, such as a
-    frozen embedding matrix, gets no dK or dV."""
+    gradient, G' = G / l (formed in G's own buffer) and s = 1/sqrt(d_head),
+    the backward walks the same blocks, last to first, into dK and dV that
+    start at zero: dS = P * (G'_blk V[k0:c]^T - D'), dQ_blk = s dS K[k0:c],
+    dK[k0:c] += s dS^T Q_blk, dV[k0:c] += P^T G'_blk, where D' = rowsum(G' *
+    O) per query row and head is found once per call. A key or value that
+    takes no gradient, such as a frozen embedding matrix, gets no dK or dV."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (n, d), (m, d_k), (m_v, d_v) = q.data.shape, k.data.shape, v.data.shape
     if d != d_k:
@@ -331,7 +337,8 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     out /= sums
 
     def bwd(g):
-        gh = split(g) / sums
+        gh = split(g)  # g is this node's own, and nothing reads it after this
+        gh /= sums
         rowsum = (gh * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qh)
         # heads-first, not kh's rows-first layout, in which += runs strided
@@ -402,16 +409,30 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
     """Per-row layer normalization with learned gain and bias.
 
     Means are np.add.reduce(...) / n, as .mean() and .var() compute them, and
-    the centred rows become xhat in place, so results match those bitwise."""
+    the centred rows become xhat in place, so results match those bitwise.
+
+    A single row, as in every KV-cached decode step, keeps its mean,
+    variance and inverse deviation as Python floats, not 1×1 arrays: five
+    ufunc calls fewer. The sums are numpy's own reductions over the same
+    contiguous row, and Python, like numpy, rounds division and square root
+    correctly, so both paths give the same bits. A variance that is not
+    positive (eps = 0 on a constant row, a NaN) takes numpy's square root
+    and division, with their warnings and results."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    mu /= n
-    xhat = x.data - mu
-    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
-    var /= n
-    var += eps
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    if x.data.shape[:-1] == (1,):
+        mu = float(np.add.reduce(x.data[0])) / n
+        xhat = x.data - mu
+        var = float(np.add.reduce(np.square(xhat[0]))) / n + eps
+        inv = 1.0 / math.sqrt(var) if var > 0.0 else np.divide(1.0, np.sqrt(var))
+    else:
+        mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+        mu /= n
+        xhat = x.data - mu
+        var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+        var /= n
+        var += eps
+        inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

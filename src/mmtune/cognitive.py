@@ -7,7 +7,9 @@ forward pass has no modality-conditional branch.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,16 @@ def tail_rows(segments, tails) -> np.ndarray:
     return np.concatenate([np.arange(e - t, e) for e, t in zip(ends, tails)])
 
 
+@functools.cache
+def _layer_tensors(i: int):
+    """A getter of layer i's twelve tensors from a name->Tensor dict, in the
+    order forward unpacks them; made once per layer index, the tensors
+    themselves are looked up on every call."""
+    return operator.itemgetter(*(f"layers.{i}.{name}" for name in (
+        "ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+        "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")))
+
+
 def forward(seq: InstructionSequence, params: ModelParams,
             cfg: DecoderConfig, cache: KVCache | None = None,
             tails=None) -> Tensor:
@@ -176,13 +188,13 @@ def forward(seq: InstructionSequence, params: ModelParams,
                else ag.embedding(pos, np.concatenate([np.arange(s) for s in lengths])))
     last = cfg.layers - 1 if tails and list(tails) != lengths else None
     for i in range(cfg.layers):
-        p = f"layers.{i}"
-        h = ag.layernorm_rows(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b,
+         w1, b1, w2, b2) = _layer_tensors(i)(params.tensors)
+        h = ag.layernorm_rows(x, ln1_g, ln1_b)
         rows = tail_rows(lengths, tails) if i == last else None
-        q = ag.matmul(h if rows is None else ag.take_rows(h, rows),
-                      params[f"{p}.attn.wq"])
-        k = ag.matmul(h, params[f"{p}.attn.wk"])
-        v = ag.matmul(h, params[f"{p}.attn.wv"])
+        q = ag.matmul(h if rows is None else ag.take_rows(h, rows), wq)
+        k = ag.matmul(h, wk)
+        v = ag.matmul(h, wv)
         if cache is not None:
             cache.kv[i, 0, t:n] = k.data
             cache.kv[i, 1, t:n] = v.data
@@ -190,11 +202,10 @@ def forward(seq: InstructionSequence, params: ModelParams,
         a = ag.attention(q, k, v, cfg.heads, causal=True,
                          segments=None if cache is not None else lengths,
                          tails=tails if i == last else None)
-        x = ag.matmul(a, params[f"{p}.attn.wo"], residual=x if rows is None
-                      else ag.take_rows(x, rows))
-        h = ag.layernorm_rows(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        h = ag.gelu(ag.matmul(h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
-        x = ag.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], x)
+        x = ag.matmul(a, wo, residual=x if rows is None else ag.take_rows(x, rows))
+        h = ag.layernorm_rows(x, ln2_g, ln2_b)
+        h = ag.gelu(ag.matmul(h, w1, b1))
+        x = ag.matmul(h, w2, b2, x)
     if cache is not None:
         cache.t = n
     x = ag.layernorm_rows(x, params["ln_f.g"], params["ln_f.b"])

@@ -318,6 +318,15 @@ def total_optimizer_steps(n_examples: int, cfg: TrainConfig) -> int:
     return cfg.epochs * per_epoch
 
 
+def _check_rows(dataset, records, limit: int):
+    """Raise SequenceTooLong, naming the example and its length, for the
+    first Framed record of more than `limit` rows."""
+    for ex, r in zip(dataset, records):
+        if r.rows > limit:
+            raise SequenceTooLong(f"example {ex.id!r}: sequence length "
+                                  f"{r.rows} > max_seq_len {limit}")
+
+
 def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         vocab: Vocab, cfg: TrainConfig, params: ModelParams | None = None,
         out_dir=None, resume_from: "Checkpoint | None" = None,
@@ -356,11 +365,7 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
         ckpt = Checkpoint(dec_cfg, cfg, mod_cfg, vocab, params,
                           AdamState.init(params), 0, data_hash)
     records = frame(dataset, mod_cfg, vocab)
-    limit = min(cfg.max_seq_len, dec_cfg.max_seq_len)
-    for ex, r in zip(dataset, records):
-        if r.rows > limit:
-            raise SequenceTooLong(f"example {ex.id!r}: sequence length "
-                                  f"{r.rows} > max_seq_len {limit}")
+    _check_rows(dataset, records, min(cfg.max_seq_len, dec_cfg.max_seq_len))
     n = len(dataset)
     macro = cfg.micro_batch * cfg.grad_accum
     per_epoch = math.ceil(n / macro)
@@ -398,15 +403,17 @@ def fit(dataset, dec_cfg: DecoderConfig, mod_cfg: ModalityConfig,
 def evaluate(dataset, ckpt: Checkpoint) -> dict:
     """Mean response NLL and perplexity over a dataset, run in packs filled
     by rows alone: no forward here keeps a tape, so micro_batch does not
-    cap them."""
+    cap them. Before the first forward, an example over the model's
+    max_seq_len raises SequenceTooLong."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
+    records = frame(dataset, ckpt.mod_cfg, ckpt.vocab)
+    _check_rows(dataset, records, ckpt.dec_cfg.max_seq_len)
     with ag.no_grad():
         total = sum(float(nll.data) for nll in _pack_nlls(
-            frame(dataset, ckpt.mod_cfg, ckpt.vocab), ckpt.params,
-            ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg, "mean",
-            len(dataset)))
+            records, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg, ckpt.train_cfg,
+            "mean", len(dataset)))
     mean_nll = total / len(dataset)
     return {"mean_response_nll": mean_nll, "perplexity": math.exp(mean_nll),
             "n_examples": len(dataset)}

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -236,7 +237,9 @@ class TestRowKernels:
             assert np.array_equal(a, b, equal_nan=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    # one row takes its statistics as Python floats; (1, 130) and (1, 256)
+    # sum in more than one of numpy's 128-element pairwise blocks
+    @pytest.mark.parametrize("shape", SHAPES + [(1, 130), (1, 256)])
     def test_layernorm_matches_formula_bitwise(self, shape):
         rng = np.random.default_rng(22)
         x = 2.0 * rng.normal(size=shape) + 0.5
@@ -244,6 +247,39 @@ class TestRowKernels:
         g = rng.normal(size=shape)
         self.assert_bitwise(run_kernel(ag.layernorm_rows, g, x, gain, bias),
                             layernorm_oracle(x, gain, bias, g))
+
+    @pytest.mark.parametrize("row,eps", [
+        (np.full(64, 0.3), 1e-5), (np.full(64, 0.3), 0.0),
+        (np.where(np.arange(64) % 3, 1e200, -1e200), 1e-5),
+        (np.where(np.arange(64) == 5, np.nan, np.linspace(-1.0, 1.0, 64)), 1e-5)],
+        ids=["constant", "constant-eps0", "1e200", "nan"])
+    def test_layernorm_one_row_extremes_match_array_path(self, row, eps):
+        # the same row twice takes the array path: its output and input
+        # gradient rows, and half its gain and bias gradients, must be the
+        # one row's to the bit, with the same RuntimeWarnings; eps = 0 on a
+        # constant row divides by zero under numpy's warning, giving inf,
+        # and never raises ZeroDivisionError
+        rng = np.random.default_rng(26)
+        gain, bias, g = rng.normal(size=64), rng.normal(size=64), rng.normal(size=64)
+
+        def run(rows):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = run_kernel(lambda *t: ag.layernorm_rows(*t, eps=eps),
+                                 np.tile(g, (rows, 1)), np.tile(row, (rows, 1)),
+                                 gain, bias)
+            return got, {(w.category, str(w.message)) for w in caught}
+
+        (out, dx, dgain, dbias), seen = run(1)
+        (out2, dx2, dgain2, dbias2), seen2 = run(2)
+        assert seen == seen2
+        if eps == 0.0:
+            assert (RuntimeWarning, "divide by zero encountered in divide") in seen
+        pairs = [(out, out2[:1]), (out, out2[1:]), (dx, dx2[:1]), (dx, dx2[1:]),
+                 (2 * dgain, dgain2), (2 * dbias, dbias2)]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("shape", [(13, 260), (430, 260)])
     def test_log_softmax_matches_formula_bitwise(self, shape):
