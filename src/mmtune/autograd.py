@@ -18,6 +18,7 @@ import numpy as np
 from .errors import KernelTooLarge, NotAttached, ShapeMismatch
 
 _F64 = np.dtype(np.float64)  # Tensor keeps such an array without asarray's cost
+_LN_EPS = 1e-5  # layernorm_rows' epsilon
 
 
 class Tensor:
@@ -405,8 +406,8 @@ def gelu(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
-    """Per-row layer normalization with learned gain and bias.
+def layernorm_rows(x, gain, bias) -> Tensor:
+    """Per-row layer normalization with learned gain and bias, eps 1e-5.
 
     Means are np.add.reduce(...) / n, as .mean() and .var() compute them, and
     the centred rows become xhat in place, so results match those bitwise.
@@ -415,23 +416,23 @@ def layernorm_rows(x, gain, bias, eps=1e-5) -> Tensor:
     variance and inverse deviation as Python floats, not 1×1 arrays: five
     ufunc calls fewer. The sums are numpy's own reductions over the same
     contiguous row, and Python, like numpy, rounds division and square root
-    correctly, so both paths give the same bits. A variance that is not
-    positive (eps = 0 on a constant row, a NaN) takes numpy's square root
-    and division, with their warnings and results."""
+    correctly, so both paths give the same bits. With eps fixed the variance
+    is at least eps, or NaN, so math.sqrt neither raises nor differs from
+    numpy on it: the one-row path needs no numpy fallback."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.data.shape[-1]
     if x.data.shape[:-1] == (1,):
         mu = float(np.add.reduce(x.data[0])) / n
         xhat = x.data - mu
-        var = float(np.add.reduce(np.square(xhat[0]))) / n + eps
-        inv = 1.0 / math.sqrt(var) if var > 0.0 else np.divide(1.0, np.sqrt(var))
+        var = float(np.add.reduce(np.square(xhat[0]))) / n + _LN_EPS
+        inv = 1.0 / math.sqrt(var)
     else:
         mu = np.add.reduce(x.data, axis=-1, keepdims=True)
         mu /= n
         xhat = x.data - mu
         var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
         var /= n
-        var += eps
+        var += _LN_EPS
         inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
     out = xhat * gain.data

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 config error, 3 data error,
-4 runtime error. Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error, 2 ConfigError, 3 DataError or
+OSError, 4 any other MMTuneError. Reports go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -15,17 +16,9 @@ from . import dataset as ds
 from . import training
 from .cognitive import generate_greedy
 from .config import load_config
-from .errors import (BadMagic, ClientError, ConfigError, CorruptPayload,
-                     EmptyDataset, MMTuneError, SchemaError, SourceTooSmall,
-                     TruncatedFile, UnknownKind, VersionMismatch)
+from .errors import ConfigError, DataError, MMTuneError
 from .tokenizer import Vocab
 from .training import build_sequence, evaluate, fit, load_checkpoint
-
-# UnknownKind here is a .mcwf kind byte: check_media vets every other kind;
-# an OSError comes from a path the command was given or its data names
-_DATA_ERRORS = (SchemaError, EmptyDataset, SourceTooSmall, BadMagic,
-                TruncatedFile, UnknownKind, CorruptPayload, VersionMismatch,
-                OSError)
 
 
 class _UsageError(Exception):
@@ -174,7 +167,7 @@ def _cmd_generate(args) -> int:
     seq = build_sequence(ex, ckpt.params, ckpt.dec_cfg, ckpt.mod_cfg,
                          ckpt.vocab, with_response=False)
     ids = generate_greedy(seq, args.max_new, ckpt.params, ckpt.dec_cfg)
-    print(ckpt.vocab.decode(ids, errors="replace"))
+    print(ckpt.vocab.decode(ids))
     return 0
 
 
@@ -202,10 +195,11 @@ def dispatch(argv) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as e:
+    # an OSError comes from a path the command was given or its data names
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except (ClientError, MMTuneError) as e:
+    except MMTuneError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
 

@@ -154,8 +154,7 @@ def prompt_key(prompt: str) -> str:
 class GenerationClient:
     """Interface to a text-generation service."""
 
-    def complete(self, prompt: str, max_tokens: int = 1024,
-                 temperature: float = 1.0) -> str:
+    def complete(self, prompt: str) -> str:
         raise NotImplementedError
 
 
@@ -168,8 +167,7 @@ class MockGenerationClient(GenerationClient):
             raise ClientError(
                 f"no fixtures directory; set {FIXTURES_ENV} or pass one explicitly")
 
-    def complete(self, prompt: str, max_tokens: int = 1024,
-                 temperature: float = 1.0) -> str:
+    def complete(self, prompt: str) -> str:
         key = prompt_key(prompt)
         try:
             with open(os.path.join(self.fixtures_dir, key + ".txt"),
@@ -187,20 +185,18 @@ class SkipReport:
         return len(self.skipped)
 
 
-def generate_examples(captions, client: GenerationClient, max_retries: int = 2):
+def generate_examples(captions, client: GenerationClient):
     """One query per caption, in order; every parsed pair becomes an example.
 
-    Captions whose completion fails to parse are skipped and reported.
-    A client failure that survives all retries aborts with the examples
-    built from the captions before it attached to the raised ClientError.
+    Captions whose completion fails to parse are skipped and reported. A
+    client failure that survives two retries aborts with the examples built
+    from the captions before it attached to the raised ClientError.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     examples = []
     report = SkipReport()
     for caption in captions:
         prompt = build_prompt(caption)
-        for _ in range(max_retries + 1):
+        for _ in range(3):  # a try and two retries
             try:
                 completion = client.complete(prompt)
                 break

@@ -5,6 +5,11 @@ class MMTuneError(Exception):
     """Base class for all package errors."""
 
 
+class DataError(MMTuneError):
+    """The data a command was given, or a file it names, is at fault; the
+    CLI exits 3 on it."""
+
+
 # numerics
 class ShapeMismatch(MMTuneError):
     pass
@@ -23,20 +28,16 @@ class InvalidId(MMTuneError):
     pass
 
 
-class InvalidUtf8(MMTuneError):
-    pass
-
-
 # encoders / file formats
-class UnknownKind(MMTuneError):
+class UnknownKind(DataError):
     pass
 
 
-class BadMagic(MMTuneError):
+class BadMagic(DataError):
     pass
 
 
-class TruncatedFile(MMTuneError):
+class TruncatedFile(DataError):
     pass
 
 
@@ -59,15 +60,15 @@ class NoResponseSpan(MMTuneError):
     pass
 
 
-class EmptyDataset(MMTuneError):
+class EmptyDataset(DataError):
     pass
 
 
-class VersionMismatch(MMTuneError):
+class VersionMismatch(DataError):
     pass
 
 
-class CorruptPayload(MMTuneError):
+class CorruptPayload(DataError):
     pass
 
 
@@ -92,11 +93,11 @@ class ClientError(MMTuneError):
         self.partial = partial or []
 
 
-class SourceTooSmall(MMTuneError):
+class SourceTooSmall(DataError):
     pass
 
 
-class SchemaError(MMTuneError):
+class SchemaError(DataError):
     """A data file does not match the expected record schema."""
 
 

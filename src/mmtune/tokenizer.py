@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidId, InvalidUtf8
+from .errors import InvalidId
 
 PAD = 0
 BOS = 1
@@ -26,13 +26,9 @@ class Vocab:  # no state: every Vocab() is equal to every other
         """One id per UTF-8 byte; no BOS/EOS framing (caller's job)."""
         return [b + _BYTE_OFFSET for b in text.encode("utf-8")]
 
-    def decode(self, ids, errors: str = "strict") -> str:
-        """Map byte ids back to text, dropping special ids.
-
-        ``errors`` follows :meth:`bytes.decode`; the default raises
-        :class:`InvalidUtf8` on malformed byte sequences, while
-        ``errors="replace"`` substitutes U+FFFD instead.
-        """
+    def decode(self, ids) -> str:
+        """Map byte ids back to text, dropping special ids; a malformed
+        UTF-8 sequence becomes U+FFFD, as a model's output may hold one."""
         out = bytearray()
         for i in ids:
             i = int(i)
@@ -41,7 +37,4 @@ class Vocab:  # no state: every Vocab() is equal to every other
             if not _BYTE_OFFSET <= i < N_IDS:
                 raise InvalidId(f"id {i} outside byte range [{_BYTE_OFFSET}, {N_IDS})")
             out.append(i - _BYTE_OFFSET)
-        try:
-            return out.decode("utf-8", errors=errors)
-        except UnicodeDecodeError as e:
-            raise InvalidUtf8(str(e)) from e
+        return out.decode("utf-8", errors="replace")

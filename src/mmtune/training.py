@@ -89,8 +89,9 @@ class Framed:
 def frame(examples, mod_cfg: ModalityConfig, vocab: Vocab,
           with_response: bool = True) -> list:
     """The Framed record of each example, in order. Each (kind, path, frames)
-    is encoded once per call, so a media file is read once however many
-    examples share it; the next call reads it again."""
+    is fingerprinted and encoded once per call however many examples share
+    it, and again by the next call; a `.mcwf` file is opened twice for it,
+    by MediaRef.from_path to fingerprint it and by encode to load it."""
     @functools.cache
     def features(kind, path, frames):
         return encoders.encode(MediaRef.from_path(kind, path, frames), mod_cfg)

@@ -480,6 +480,11 @@ class TestAttention:
             attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
                       Tensor(np.ones((2, 4))))
 
+    def test_keys_and_values_differ_in_rows(self):
+        with pytest.raises(ShapeMismatch, match="5 keys vs 4 values"):
+            attention(Tensor(np.ones((2, 4))), Tensor(np.ones((5, 4))),
+                      Tensor(np.ones((4, 4))))
+
     def test_indivisible_width(self):
         with pytest.raises(ShapeMismatch):
             attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))),

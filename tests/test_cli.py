@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmtune import cli
+from mmtune import cli, errors
 from mmtune import dataset as ds
 from mmtune.cli import dispatch
 from mmtune.config import default_config, load_config, validate_config
@@ -86,6 +86,38 @@ class TestDispatchBasics:
         assert dispatch(["dataset-stats"]) == 1
 
 
+# the exit code of every package error class: a new class must be given one
+EXIT_CODES = {
+    "ConfigError": 2,
+    "DataError": 3, "SchemaError": 3, "EmptyDataset": 3, "SourceTooSmall": 3,
+    "BadMagic": 3, "TruncatedFile": 3, "UnknownKind": 3, "CorruptPayload": 3,
+    "VersionMismatch": 3,
+    "MMTuneError": 4, "ShapeMismatch": 4, "KernelTooLarge": 4,
+    "NotAttached": 4, "InvalidId": 4, "BadLength": 4, "MissingText": 4,
+    "SequenceTooLong": 4, "NoResponseSpan": 4, "EmptyCaption": 4,
+    "NoPairsFound": 4, "ClientError": 4}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        assert set(EXIT_CODES) == {
+            name for name, c in vars(errors).items()
+            if isinstance(c, type) and issubclass(c, errors.MMTuneError)}
+
+    @pytest.mark.parametrize("name,code",
+                             sorted(EXIT_CODES.items()) + [("OSError", 3)])
+    def test_error_class_exit_code(self, monkeypatch, capsys, name, code):
+        exc = OSError if name == "OSError" else getattr(errors, name)
+
+        def read_examples(path):
+            raise exc("boom")
+
+        monkeypatch.setattr(ds, "read_examples", read_examples)
+        assert dispatch(["dataset-stats", "--data", "x"]) == code
+        prefix = {2: "config error", 3: "data error", 4: "error"}[code]
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
 class TestDatasetCommands:
     def test_build_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "built.jsonl"
@@ -162,16 +194,23 @@ class TestDatasetCommands:
     @pytest.mark.parametrize("kind,rows,match", [
         ("image", 6, "kind code 3"),   # the kind byte names no kind
         ("audio", 6, "audio"),         # features of another kind
-        ("image", 5, r"(5, 5)")],      # a shape other than the configured one
-        ids=["kind-byte-3", "other-kind", "other-shape"])
+        ("image", 5, r"(5, 5)"),       # a shape other than the configured one
+        ("image", 6, "header incomplete"),
+        ("image", 6, "unsupported version 2")],
+        ids=["kind-byte-3", "other-kind", "other-shape", "short-header",
+             "version-2"])
     def test_train_bad_feature_file_exits_3(self, tmp_path, capsys, kind, rows,
                                             match):
         feats = tmp_path / "f.mcwf"
         save_features(str(feats), kind, np.zeros((rows, 5)))
+        raw = bytearray(feats.read_bytes())
         if match == "kind code 3":
-            raw = bytearray(feats.read_bytes())
             raw[8] = 3  # after the magic and the u32 version
-            feats.write_bytes(bytes(raw))
+        elif match == "header incomplete":
+            del raw[10:]  # of the header's 17 bytes
+        elif match == "unsupported version 2":
+            raw[4] = 2  # the u32 version's low byte
+        feats.write_bytes(bytes(raw))
         rec = {"id": "f", "source": "s", "instruction": "what", "response": "x",
                "media": [{"kind": "image", "path": str(feats)}]}
         p = tmp_path / "data.jsonl"
@@ -182,6 +221,26 @@ class TestDatasetCommands:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"data error: {feats}: ") and match in err
+
+    def test_build_empty_media_list_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "captions.jsonl"
+        p.write_text(json.dumps({"caption": "a kayak", "id": "c", "media": [],
+                                 "source": "COCO"}) + "\n")
+        out = tmp_path / "built.jsonl"
+        code = dispatch(["dataset-build", "--data", str(p), "--out", str(out),
+                         "--fixtures", os.path.join(DATA, "fixtures")])
+        assert code == 3
+        assert "empty media list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_without_fixtures_exits_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.delenv(ds.FIXTURES_ENV, raising=False)
+        code = dispatch(["dataset-build", "--data",
+                         os.path.join(DATA, "captions.jsonl"),
+                         "--out", str(tmp_path / "built.jsonl")])
+        assert code == 4
+        assert "no fixtures directory" in capsys.readouterr().err
 
     def test_build_reports_an_unparseable_completion(self, tmp_path, capsys):
         captions = os.path.join(DATA, "captions.jsonl")
@@ -457,7 +516,10 @@ class TestTrainEvalGenerate:
         ("data", "mix", {"n_per_source": "3"}),
         ("data", "mix", {"n_per_source": True}),
         # numpy's generators take no negative seed; a decoder needs a layer
-        ("train", "seed", -1), ("model", "layers", 0)])
+        ("train", "seed", -1), ("model", "layers", 0),
+        # the schedule's warm-up share and the loss reduction
+        ("train", "warmup_ratio", 0), ("train", "warmup_ratio", 1),
+        ("train", "loss_reduction", "max")])
     def test_mistyped_or_out_of_range_value_exits_2(self, tmp_path, section,
                                                     key, value, capsys):
         p = tmp_path / "bad.json"
@@ -466,6 +528,18 @@ class TestTrainEvalGenerate:
                          "--out", str(tmp_path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("user,match", [
+        ([1], "config root must be a JSON object"),
+        ({"train": 5}, "config key train must be an object")],
+        ids=["root-list", "section-int"])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, user, match):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(user))
+        code = dispatch(["train", "--config", str(p), "--data", "x",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {match}\n"
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         code = dispatch(["train", "--data", "x", "--out", str(tmp_path),

@@ -126,8 +126,7 @@ class TestGenerateExamples:
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(ClientError) as exc:
-            generate_examples(caps, MockGenerationClient(str(empty)),
-                              max_retries=1)
+            generate_examples(caps, MockGenerationClient(str(empty)))
         assert exc.value.partial == []
 
     def test_client_error_keeps_earlier_captions(self, tmp_path):
@@ -151,30 +150,15 @@ class TestGenerateExamples:
             def __init__(self):
                 self.fixtures_dir = "unused"
 
-            def complete(self, prompt, **kw):
+            def complete(self, prompt):
                 calls["n"] += 1
                 if calls["n"] < 3:
                     raise ClientError("transient")
                 return "Q: q\nA: a"
 
-        examples, _ = generate_examples([caption()], Flaky(), max_retries=2)
+        examples, _ = generate_examples([caption()], Flaky())
         assert len(examples) == 1
         assert calls["n"] == 3
-
-    def test_negative_retries_rejected_before_any_call(self):
-        class Counting(MockGenerationClient):
-            calls = 0
-
-            def __init__(self):
-                self.fixtures_dir = "unused"
-
-            def complete(self, prompt, **kw):
-                Counting.calls += 1
-                return "Q: q\nA: a"
-
-        with pytest.raises(ValueError, match="max_retries"):
-            generate_examples([caption()], Counting(), max_retries=-1)
-        assert Counting.calls == 0
 
 
 class TestMockClient:
@@ -199,20 +183,18 @@ class TestMockClient:
             MockGenerationClient(str(tmp_path / "file")).complete("p")
 
     @pytest.mark.parametrize("as_dir", [False, True], ids=["missing", "directory"])
-    @pytest.mark.parametrize("max_retries", [0, 2])
-    def test_retried_then_partial_attached(self, tmp_path, as_dir, max_retries):
+    def test_retried_then_partial_attached(self, tmp_path, as_dir):
         _, fixtures = self.no_fixture(tmp_path, as_dir)
         calls = []
 
         class Counting(MockGenerationClient):
-            def complete(self, prompt, **kw):
+            def complete(self, prompt):
                 calls.append(prompt)
-                return super().complete(prompt, **kw)
+                return super().complete(prompt)
 
         with pytest.raises(ClientError, match="c1") as exc:
-            generate_examples([caption()], Counting(fixtures),
-                              max_retries=max_retries)
-        assert len(calls) == max_retries + 1
+            generate_examples([caption()], Counting(fixtures))
+        assert len(calls) == 3
         assert exc.value.partial == []
 
 

@@ -1217,6 +1217,22 @@ class TestCheckpoint:
         assert load_checkpoint(final).step == 18
         assert sorted(os.listdir(tmp_path)) == ["epoch1.ckpt", "final.ckpt"]
 
+    def test_failed_link_rename_keeps_target(self, tmp_path, monkeypatch):
+        src, final = tmp_path / "epoch1.ckpt", tmp_path / "final.ckpt"
+        src.write_bytes(b"epoch")
+        final.write_bytes(b"older final")
+
+        def replace(a, b):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            training._link_checkpoint(str(src), str(final))
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["epoch1.ckpt", "final.ckpt"]
+        assert final.read_bytes() == b"older final"
+        assert src.read_bytes() == b"epoch" and src.stat().st_nlink == 1
+
     def test_truncated(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
         p = str(tmp_path / "d.ckpt")
         save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
