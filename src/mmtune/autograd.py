@@ -130,7 +130,8 @@ _grad_enabled = True
 @contextmanager
 def no_grad():
     """Inside this context ops record no provenance: every result is a plain
-    tensor with no parents and no backward closure, as inference needs."""
+    tensor with no parents and no backward closure, as inference needs. Each
+    op returns it before it defines its closure, so none is ever made."""
     global _grad_enabled
     prev, _grad_enabled = _grad_enabled, False
     try:
@@ -139,32 +140,30 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _node(data, parents, backward_fn):
-    if not _grad_enabled:
-        return Tensor(data)
-    return Tensor(data, parents=parents, backward_fn=backward_fn)
-
-
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
+    if not _grad_enabled:
+        return Tensor(out_data)
 
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
 
-    return _node(out_data, (a, b), bwd)
+    return Tensor(out_data, parents=(a, b), backward_fn=bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
+    if not _grad_enabled:
+        return Tensor(out_data)
 
     def bwd(g):
         _accum(a, g * b.data, fresh=True)
         _accum(b, g * a.data, fresh=True)
 
-    return _node(out_data, (a, b), bwd)
+    return Tensor(out_data, parents=(a, b), backward_fn=bwd)
 
 
 def matmul(a, b, bias=None, residual=None) -> Tensor:
@@ -196,22 +195,29 @@ def matmul(a, b, bias=None, residual=None) -> Tensor:
         if residual is not None:  # the walk then drops g, so the residual may own it
             _accum(residual, g, fresh=True)
 
-    return _node(out_data, [t for t in (a, b, bias, residual) if t is not None], bwd)
+    return Tensor(out_data, backward_fn=bwd,
+                  parents=[t for t in (a, b, bias, residual) if t is not None])
 
 
 def transpose(a) -> Tensor:
     """The transpose of a matrix."""
     a = _as_tensor(a)
-    return _node(a.data.T, (a,), lambda g: _accum(a, g.T))
+    out = a.data.T
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, parents=(a,), backward_fn=lambda g: _accum(a, g.T))
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
+    out = a.data.sum()
+    if not _grad_enabled:
+        return Tensor(out)
 
     def bwd(g):
         _accum(a, np.full_like(a.data, float(g)), fresh=True)
 
-    return _node(a.data.sum(), (a,), bwd)
+    return Tensor(out, parents=(a,), backward_fn=bwd)
 
 
 def softmax_rows(m) -> Tensor:
@@ -220,12 +226,14 @@ def softmax_rows(m) -> Tensor:
     z = m.data - m.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
+    if not _grad_enabled:
+        return Tensor(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(m, y * (g - dot), fresh=True)
 
-    return _node(y, (m,), bwd)
+    return Tensor(y, parents=(m,), backward_fn=bwd)
 
 
 def log_softmax_rows(m) -> Tensor:
@@ -233,19 +241,47 @@ def log_softmax_rows(m) -> Tensor:
     out = m.data - m.data.max(axis=-1, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(out), axis=-1, keepdims=True))
     out -= lse
+    if not _grad_enabled:
+        return Tensor(out)
 
     def bwd(g):
         dm = np.exp(out)
         dm *= g.sum(axis=-1, keepdims=True)
         _accum(m, np.subtract(g, dm, out=dm), fresh=True)
 
-    return _node(out, (m,), bwd)
+    return Tensor(out, parents=(m,), backward_fn=bwd)
 
 
 # query rows per block of causal attention
 _BLOCK = 64
 # within a diagonal block, row i may not see the keys of rows after it
 _AHEAD = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+
+
+def _split(a, heads):  # rows×(heads·w) -> heads×rows×w
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge(a):  # heads×rows×w -> rows×(heads·w)
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _causal_blocks(n, m, segments, tails):
+    """The row blocks (r0, r1, k0, c) of a causal call: query rows [r0, r1)
+    see keys [k0, c), where k0 is the first row of their segment and c the
+    position after the last row's own."""
+    blocks, r0, k0, fits = [], 0, 0, len(tails) == len(segments)
+    for length, tail in zip(segments, tails):
+        fits &= 0 < tail <= length
+        end, c = r0 + tail, k0 + length
+        for b in range(r0, end, _BLOCK):
+            r1 = min(b + _BLOCK, end)
+            blocks.append((b, r1, k0, c - end + r1))
+        r0, k0 = end, c
+    if not (fits and r0 == n and k0 == m):
+        raise ShapeMismatch(f"causal attention of {n} queries over {m} keys "
+                            f"as tails {list(tails)} of segments {list(segments)}")
+    return blocks
 
 
 def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tensor:
@@ -263,7 +299,10 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
     [k0, c) of its segment that its last row can see and masks only its
     diagonal part, so the keys above the diagonal are never scored,
     exponentiated or saved; its masked scores reach exp as 0, not -inf, and
-    leave it as 0.0. A non-causal call is one block over every key.
+    leave it as 0.0. A non-causal call is one block over every key, and so
+    is one query row over one segment (a decode row, a prefill's last row),
+    which takes it without the planning loop and forms its output and row
+    sums as they come, not into preallocated arrays.
 
     A block's exponentials stay unnormalised, P = exp(S - rowmax), and their
     row sums l go to one heads×n×1 array; after the loop the output rows are
@@ -287,58 +326,54 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
         raise ShapeMismatch("segments and tails need a causal call")
     tails = tails or ([n] if segments is None else segments)
     segments = segments or [m]
-
-    def split(a):  # rows×(heads·w) -> heads×rows×w
-        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
-
-    def merge(a):  # heads×rows×w -> rows×(heads·w)
-        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-    # (r0, r1, k0, c): query rows [r0, r1) see keys [k0, c), where k0 is the
-    # first row of their segment and c the position after the last row's own
-    blocks, r0, k0, fits = [], 0, 0, len(tails) == len(segments)
-    for length, tail in zip(segments, tails) if causal else ():
-        fits &= 0 < tail <= length
-        end, c = r0 + tail, k0 + length
-        for b in range(r0, end, _BLOCK):
-            r1 = min(b + _BLOCK, end)
-            blocks.append((b, r1, k0, c - end + r1))
-        r0, k0 = end, c
-    if causal and not (fits and r0 == n and k0 == m):
-        raise ShapeMismatch(f"causal attention of {n} queries over {m} keys "
-                            f"as tails {list(tails)} of segments {list(segments)}")
-    blocks = blocks or [(0, n, 0, m)]
+    if not causal or (n == 1 and len(segments) == len(tails) == 1
+                      and tails[0] == 1 and segments[0] == m > 0):
+        blocks = [(0, n, 0, m)]
+    else:
+        blocks = _causal_blocks(n, m, segments, tails)
     # scale q, not the heads×n×m scores: one pass less over the largest array
     scale = 1.0 / math.sqrt(d // heads)
-    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    probs = []
-    # rows-first in memory, like dq below, so that merge is a free reshape
-    out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
-    sums = np.empty((heads, n, 1))
-    for r0, r1, k0, c in blocks:
-        p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
-        b = r1 - r0
-        # a one-row block has no key ahead of it; in a longer one the keys
-        # ahead are -inf for the row max, then 0 through exp, whose -inf
-        # path is slow, and 0.0 after it, which is exactly exp(-inf)
-        ahead = _AHEAD[:b, :b] if causal and b > 1 else None
-        if ahead is not None:
-            np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ahead)
+    qh, kh, vh = (_split(q.data * scale, heads), _split(k.data, heads),
+                  _split(v.data, heads))
+    if n == 1:  # one block, with no key ahead of its row
+        p = qh @ kh.transpose(0, 2, 1)
         p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-        if ahead is not None:
-            np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
         np.exp(p, out=p)
-        if ahead is not None:
-            np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
-        np.add.reduce(p, axis=-1, keepdims=True, out=sums[:, r0:r1])
-        np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
-        if _grad_enabled:  # without a backward only the block in hand is needed
-            probs.append(p)
-        del p
+        sums = np.add.reduce(p, axis=-1, keepdims=True)
+        out = p @ vh
+        probs = [p]
+    else:
+        probs = []
+        # rows-first in memory, like dq below, so that merge is a free reshape
+        out = np.empty((n, heads, vh.shape[2])).transpose(1, 0, 2)
+        sums = np.empty((heads, n, 1))
+        for r0, r1, k0, c in blocks:
+            p = qh[:, r0:r1] @ kh[:, k0:c].transpose(0, 2, 1)
+            b = r1 - r0
+            # a one-row block has no key ahead of it; in a longer one the keys
+            # ahead are -inf for the row max, then 0 through exp, whose -inf
+            # path is slow, and 0.0 after it, which is exactly exp(-inf)
+            ahead = _AHEAD[:b, :b] if causal and b > 1 else None
+            if ahead is not None:
+                np.copyto(p[:, :, c - k0 - b:], -np.inf, where=ahead)
+            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            if ahead is not None:
+                np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
+            np.exp(p, out=p)
+            if ahead is not None:
+                np.copyto(p[:, :, c - k0 - b:], 0.0, where=ahead)
+            np.add.reduce(p, axis=-1, keepdims=True, out=sums[:, r0:r1])
+            np.matmul(p, vh[:, k0:c], out=out[:, r0:r1])
+            if _grad_enabled:  # without a backward only the block in hand is needed
+                probs.append(p)
+            del p
     out /= sums
+    if not _grad_enabled:
+        return Tensor(_merge(out))
 
     def bwd(g):
-        gh = split(g)  # g is this node's own, and nothing reads it after this
+        # g is this node's own, and nothing reads it after this
+        gh = _split(g, heads)
         gh /= sums
         rowsum = (gh * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qh)
@@ -355,12 +390,12 @@ def attention(q, k, v, heads=1, causal=False, segments=None, tails=None) -> Tens
                 dk[:, k0:c] += ds.transpose(0, 2, 1) @ qh[:, r0:r1]
             if dv is not None:
                 dv[:, k0:c] += p.transpose(0, 2, 1) @ gb
-        _accum(q, merge(dq) * scale, fresh=True)
+        _accum(q, _merge(dq) * scale, fresh=True)
         for t, dt in ((k, dk), (v, dv)):
             if dt is not None:
-                _accum(t, merge(dt), fresh=True)
+                _accum(t, _merge(dt), fresh=True)
 
-    return _node(merge(out), (q, k, v), bwd)
+    return Tensor(_merge(out), parents=(q, k, v), backward_fn=bwd)
 
 
 def gelu(a) -> Tensor:
@@ -370,7 +405,8 @@ def gelu(a) -> Tensor:
     operation order of the plain formulas, so results match them bitwise.
     0.5 * x * (1 + t) is formed as ((1 + t) * 0.5) * x: 1 + t is never
     subnormal, so its halving is exact, and where x is subnormal 1 + t is 1;
-    so both orders round the same real product."""
+    so both orders round the same real product. Without a tape the output
+    is formed in t's own buffer, which no backward needs."""
     a = _as_tensor(a)
     c = math.sqrt(2.0 / math.pi)
     x = a.data
@@ -380,9 +416,11 @@ def gelu(a) -> Tensor:
     t += x
     t *= c
     np.tanh(t, out=t)
-    out = t + 1.0
+    out = np.add(t, 1.0, out=None if _grad_enabled else t)
     out *= 0.5
     out *= x
+    if not _grad_enabled:
+        return Tensor(out)
 
     def bwd(g):
         # du = c * (1 + 3 * 0.044715 * x ** 2)
@@ -403,7 +441,7 @@ def gelu(a) -> Tensor:
         d *= g
         _accum(a, d, fresh=True)
 
-    return _node(out, (a,), bwd)
+    return Tensor(out, parents=(a,), backward_fn=bwd)
 
 
 def layernorm_rows(x, gain, bias) -> Tensor:
@@ -418,7 +456,8 @@ def layernorm_rows(x, gain, bias) -> Tensor:
     contiguous row, and Python, like numpy, rounds division and square root
     correctly, so both paths give the same bits. With eps fixed the variance
     is at least eps, or NaN, so math.sqrt neither raises nor differs from
-    numpy on it: the one-row path needs no numpy fallback."""
+    numpy on it: the one-row path needs no numpy fallback. Without a tape
+    the output is formed in xhat's own buffer, which no backward needs."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.data.shape[-1]
     if x.data.shape[:-1] == (1,):
@@ -435,8 +474,10 @@ def layernorm_rows(x, gain, bias) -> Tensor:
         var += _LN_EPS
         inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
-    out = xhat * gain.data
+    out = np.multiply(xhat, gain.data, out=None if _grad_enabled else xhat)
     out += bias.data
+    if not _grad_enabled:
+        return Tensor(out)
 
     def bwd(g):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
@@ -453,14 +494,17 @@ def layernorm_rows(x, gain, bias) -> Tensor:
         _accum(gain, np.multiply(g, xhat, out=p).sum(axis=0), fresh=True)
         _accum(bias, g.sum(axis=0), fresh=True)
 
-    return _node(out, (x, gain, bias), bwd)
+    return Tensor(out, parents=(x, gain, bias), backward_fn=bwd)
 
 
 def embedding(table, ids) -> Tensor:
     """Row lookup into `table` (V×d). Gradient scatters back into the table."""
     table, idx = _as_tensor(table), np.asarray(ids, dtype=np.int64)
-    return _node(table.data[idx], (table,),
-                 lambda g: _scatter(table, idx, g, repeats=True))
+    out = table.data[idx]
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, parents=(table,),
+                  backward_fn=lambda g: _scatter(table, idx, g, repeats=True))
 
 
 def concat_rows(parts) -> Tensor:
@@ -469,43 +513,57 @@ def concat_rows(parts) -> Tensor:
     if len(parts) == 1:
         return parts[0]
     out_data = np.concatenate([p.data for p in parts], axis=0)
+    if not _grad_enabled:
+        return Tensor(out_data)
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bwd(g):
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[a:b])
 
-    return _node(out_data, tuple(parts), bwd)
+    return Tensor(out_data, parents=tuple(parts), backward_fn=bwd)
 
 
 def concat_cols(parts) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=1)
+    if not _grad_enabled:
+        return Tensor(out_data)
     offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def bwd(g):
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[:, a:b])
 
-    return _node(out_data, tuple(parts), bwd)
+    return Tensor(out_data, parents=tuple(parts), backward_fn=bwd)
 
 
 def take_rows(a, index) -> Tensor:
     """a[index] for a slice or an array of distinct row numbers."""
     a = _as_tensor(a)
-    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
+    out = a.data[index]
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, parents=(a,), backward_fn=lambda g: _scatter(a, index, g))
 
 
 def slice_cols(a, start, stop) -> Tensor:
     a, index = _as_tensor(a), np.s_[:, start:stop]
-    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g))
+    out = a.data[index]
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, parents=(a,), backward_fn=lambda g: _scatter(a, index, g))
 
 
 def pick(a, row_idx, col_idx) -> Tensor:
     """Gather a[row_idx[i], col_idx[i]] into a 1-D tensor."""
     a = _as_tensor(a)
     index = (np.asarray(row_idx, dtype=np.int64), np.asarray(col_idx, dtype=np.int64))
-    return _node(a.data[index], (a,), lambda g: _scatter(a, index, g, repeats=True))
+    out = a.data[index]
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, parents=(a,),
+                  backward_fn=lambda g: _scatter(a, index, g, repeats=True))
 
 
 def stop_gradient(a) -> Tensor:
@@ -538,12 +596,14 @@ def conv1d(x, w, bias, stride=1) -> Tensor:
                  + np.arange(k)].reshape(-1, k * d_in)
     out_data = win @ w.data.reshape(k * d_in, d_out)
     out_data += bias.data
+    if not _grad_enabled:
+        return Tensor(out_data)
 
     def bwd(g):
         _accum(w, (win.T @ g).reshape(w.shape), fresh=True)
         _accum(bias, g.sum(axis=0), fresh=True)
 
-    return _node(out_data, (w, bias), bwd)
+    return Tensor(out_data, parents=(w, bias), backward_fn=bwd)
 
 
 @dataclass

@@ -8,6 +8,7 @@ forward pass has no modality-conditional branch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -146,8 +147,11 @@ class KVCache:
 
 
 def tail_rows(segments, tails) -> np.ndarray:
-    """The numbers of the last tails[j] rows of each segment j, in order."""
-    ends = np.cumsum(segments)
+    """The numbers of the last tails[j] rows of each segment j, in order.
+    One segment, as in a prefill, is a single range."""
+    if len(segments) == 1:
+        return np.arange(segments[0] - tails[0], segments[0])
+    ends = itertools.accumulate(segments)
     return np.concatenate([np.arange(e - t, e) for e, t in zip(ends, tails)])
 
 

@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,34 +99,48 @@ class MediaRef:
     fingerprint: int
     path: str | None = None
     frames: int | None = None  # raw frame count, video only
+    # the file's bytes as fingerprinted, when kept for encode to load from
+    content: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnknownKind(self.kind)
 
     @classmethod
-    def from_path(cls, kind: str, path: str, frames=None):
+    def from_path(cls, kind: str, path: str, frames=None, keep=False):
         """Fingerprint file content when the path exists, else the path text.
 
         Nonexistent paths keep synthetic datasets usable offline: the path
-        string itself is the content.
+        string itself is the content. With `keep` the ref holds the file's
+        bytes, and encode loads a feature file from them, not from a second
+        read; without it encode reads the file as it is then.
         """
-        data = path.encode("utf-8")
+        data, content = path.encode("utf-8"), None
         if os.path.isfile(path):
             with open(path, "rb") as f:
-                data = f.read()
-        return cls(kind, fingerprint_bytes(data), path=path, frames=frames)
+                data = content = f.read()
+        return cls(kind, fingerprint_bytes(data), path=path, frames=frames,
+                   content=content if keep else None)
 
 
-def _rng_for(*seed_ints) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(seed_ints)))
+def _uniform(seeds, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous `out`, as len(seeds) equal row blocks, with
+    uniform [-1, 1) draws, block j seeded by seeds[j]. Each block is the
+    draws of default_rng(SeedSequence([seed])).uniform(-1, 1) to the bit:
+    PCG64 seeds itself through the same SeedSequence, uniform forms
+    -1 + 2 * r from the same r, and doubling is exact."""
+    for seed, block in zip(seeds, out.reshape(len(seeds), -1)):
+        np.random.Generator(np.random.PCG64(seed)).random(out=block)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def stub_encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """Deterministic stand-in encoder: uniform [-1, 1] features seeded by
     the media fingerprint."""
     shape = (cfg.length(media.kind), cfg.dim(media.kind))
-    return _rng_for(media.fingerprint).uniform(-1.0, 1.0, size=shape)
+    return _uniform([media.fingerprint], np.empty(shape))
 
 
 def sample_frames(frame_count: int, target: int) -> list[int]:
@@ -143,20 +157,20 @@ def frame_fingerprint(fingerprint: int, frame_index: int) -> int:
 
 
 def encode_video(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
-    """One pooled feature row per sampled frame, stacked to F×d_h."""
-    n = media.frames or cfg.source_frames_default
-    idx = sample_frames(n, cfg.video_frames)
-    d = cfg.video_dim
-    rows = [_rng_for(frame_fingerprint(media.fingerprint, i)).uniform(-1.0, 1.0, size=(1, d))
-            for i in idx]
-    return np.concatenate(rows, axis=0)
+    """One pooled feature row per sampled frame, each drawn straight into
+    its row of the F×d_h result."""
+    idx = sample_frames(media.frames or cfg.source_frames_default, cfg.video_frames)
+    return _uniform([frame_fingerprint(media.fingerprint, i) for i in idx],
+                    np.empty((cfg.video_frames, cfg.video_dim)))
 
 
 def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """The L×d_h features of `media`: read from its `.mcwf` file when its
-    path names one, else from the stub encoder for its kind."""
-    if media.path and media.path.endswith(".mcwf") and os.path.isfile(media.path):
-        kind, matrix = load_features(media.path)
+    path names one (from the bytes the ref holds, if it holds them), else
+    from the stub encoder for its kind."""
+    if (media.path and media.path.endswith(".mcwf")
+            and (media.content is not None or os.path.isfile(media.path))):
+        kind, matrix = load_features(media.path, media.content)
         expect = (media.kind, (cfg.length(media.kind), cfg.dim(media.kind)))
         if (kind, matrix.shape) != expect:
             raise SchemaError(f"{media.path}: feature kind and shape {kind} "
@@ -174,10 +188,12 @@ def save_features(path: str, kind: str, matrix: np.ndarray) -> None:
         f.write(matrix.astype("<f4").tobytes(order="C"))
 
 
-def load_features(path: str) -> tuple[str, np.ndarray]:
-    """The (kind, float64 matrix) a feature file holds."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def load_features(path: str, raw: bytes | None = None) -> tuple[str, np.ndarray]:
+    """The (kind, float64 matrix) a feature file holds; `raw`, when given,
+    is the file's bytes, already read."""
+    if raw is None:
+        with open(path, "rb") as f:
+            raw = f.read()
     if raw[:4] != _MAGIC:
         raise BadMagic(f"{path}: bad magic {raw[:4]!r}")
     header = raw[4:4 + struct.calcsize("<IBII")]

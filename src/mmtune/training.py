@@ -90,11 +90,12 @@ def frame(examples, mod_cfg: ModalityConfig, vocab: Vocab,
           with_response: bool = True) -> list:
     """The Framed record of each example, in order. Each (kind, path, frames)
     is fingerprinted and encoded once per call however many examples share
-    it, and again by the next call; a `.mcwf` file is opened twice for it,
-    by MediaRef.from_path to fingerprint it and by encode to load it."""
+    it, and again by the next call; a file is read once for both, by
+    MediaRef.from_path, which keeps its bytes for encode."""
     @functools.cache
     def features(kind, path, frames):
-        return encoders.encode(MediaRef.from_path(kind, path, frames), mod_cfg)
+        return encoders.encode(MediaRef.from_path(kind, path, frames, keep=True),
+                               mod_cfg)
 
     out = []
     for ex in examples:

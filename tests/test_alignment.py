@@ -349,6 +349,40 @@ class TestAttention:
         # returns the same bits as the call that keeps one
         self.assert_one_path(heads, n, m, True, segments, tails)
 
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 240, 512])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_one_row_matches_the_block_loop_bitwise(self, heads, m):
+        # one query row over one segment (a decode row, a prefill's last
+        # row) skips the block plan and forms its output and row sums as
+        # they come: the bits of the block loop into preallocated arrays,
+        # with or without a tape, and the same gradients
+        rng = np.random.default_rng(27)
+        data = {"q": rng.normal(size=(1, 16)), "k": rng.normal(size=(m, 16)),
+                "v": rng.normal(size=(m, 8))}
+        upstream = rng.normal(size=(1, 8))
+        want = masked_exp_attention(data["q"], data["k"], data["v"], upstream,
+                                    heads, [m], [1])
+        with ag.no_grad():
+            for segments, tails in ((None, None), ([m], [1])):
+                bare = attention(*(Tensor(data[name]) for name in "qkv"), heads,
+                                 causal=True, segments=segments, tails=tails)
+                assert bare._backward is None
+                assert bare.data.tobytes() == want[0].tobytes()
+        p = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+        out = attention(p["q"], p["k"], p["v"], heads, causal=True,
+                        segments=[m], tails=[1])
+        ag.sum_all(ag.mul(out, upstream)).backward()
+        for got, exp in zip([out.data] + [p[name].grad for name in "qkv"],
+                            want):
+            assert got.tobytes() == exp.tobytes()
+
+    @pytest.mark.parametrize("segments,tails", [(None, None), ([0], [1])])
+    def test_one_row_over_no_keys_raises(self, segments, tails):
+        with pytest.raises(ShapeMismatch):
+            attention(Tensor(np.ones((1, 4))), Tensor(np.ones((0, 4))),
+                      Tensor(np.ones((0, 4))), causal=True, segments=segments,
+                      tails=tails)
+
     def test_no_grad_align_output_equals_tape_output(self):
         # the non-causal shape of an align call
         self.assert_one_path(1, 12, 260, False)

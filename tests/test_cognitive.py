@@ -177,6 +177,15 @@ class TestForward:
         rows = cognitive.tail_rows(lengths, tails)
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("segments,tails", [
+        ([300], [1]), ([12], [12]), ([40], [7]), ([5, 7], [1, 1]),
+        ([33, 34, 35, 33], [13, 14, 12, 13]), ([480, 470], [400, 1])])
+    def test_tail_rows_match_running_sums(self, segments, tails):
+        ends = np.cumsum(segments)
+        want = np.concatenate([np.arange(e - t, e) for e, t in zip(ends, tails)])
+        got = cognitive.tail_rows(segments, tails)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @pytest.mark.parametrize("tails", ["last", "some", "all"])
     @pytest.mark.parametrize("segments", [None, [5, 7], [3, 4, 5]])
     def test_no_grad_logits_equal_tape_logits(self, tiny_params, tiny_dec_cfg,

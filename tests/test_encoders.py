@@ -165,6 +165,36 @@ class TestEncodeVideo:
         np.testing.assert_array_equal(out, expected)
 
 
+def seeded_uniform_oracle(media, cfg):
+    """The stub features as they were first drawn: one uniform(-1, 1) call
+    per feature block on a default_rng seeded with SeedSequence([seed]), one
+    block per sampled video frame, stacked."""
+    def draw(seed, shape):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        return rng.uniform(-1.0, 1.0, size=shape)
+
+    if media.kind != "video":
+        return draw(media.fingerprint, (cfg.length(media.kind),
+                                        cfg.dim(media.kind)))
+    frames = sample_frames(media.frames or cfg.source_frames_default,
+                           cfg.video_frames)
+    return np.concatenate([draw(frame_fingerprint(media.fingerprint, i),
+                                (1, cfg.video_dim)) for i in frames])
+
+
+def test_stub_draws_match_the_seeded_uniform_oracle(cfg):
+    # fingerprints span the whole 64-bit range blake2b gives, with small
+    # seeds too, and videos of 1 to 70 frames
+    rng = np.random.default_rng(28)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1] + [
+        int(s) for s in rng.integers(0, 2 ** 64, size=95, dtype=np.uint64)]
+    for j, seed in enumerate(seeds):
+        for kind in ("image", "video", "audio"):
+            media = MediaRef(kind, seed, frames=1 + j % 70)
+            got = encode(media, cfg)
+            assert got.tobytes() == seeded_uniform_oracle(media, cfg).tobytes()
+
+
 def test_fingerprint_pure_function_of_bytes(tmp_path):
     assert fingerprint_bytes(b"abc") == fingerprint_bytes(b"abc")
     assert fingerprint_bytes(b"abc") != fingerprint_bytes(b"abd")

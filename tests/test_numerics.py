@@ -275,6 +275,22 @@ class TestRowKernels:
             assert a.tobytes() == b.tobytes()
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_no_grad_output_equals_tape_output(self, shape):
+        # without a tape the output is formed in the kernel's own scratch
+        # array, and neither its bits nor the input may change
+        rng = np.random.default_rng(27)
+        x = 2.0 * rng.normal(size=shape) + 0.5
+        before = x.tobytes()
+        gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        for op, extra in ((ag.gelu, ()), (ag.layernorm_rows, (gain, bias))):
+            taped = op(Tensor(x, requires_grad=True), *extra)
+            with ag.no_grad():
+                bare = op(Tensor(x), *extra)
+            assert taped._backward is not None and bare._backward is None
+            assert bare.data.tobytes() == taped.data.tobytes()
+            assert x.tobytes() == before
+
     @pytest.mark.parametrize("shape", [(13, 260), (430, 260)])
     def test_log_softmax_matches_formula_bitwise(self, shape):
         rng = np.random.default_rng(23)

@@ -585,6 +585,28 @@ class TestFrame:
             assert counted == {"from_path": 12, "features": 12,
                                "load_features": 12, "encode": 96}
 
+    def test_a_shared_feature_file_is_opened_once(self, tiny_mod_cfg, vocab,
+                                                  tmp_path, monkeypatch):
+        # the bytes MediaRef.from_path fingerprints are the bytes encode
+        # loads: one open for a file three examples share, not two
+        path = str(tmp_path / "m.mcwf")
+        encoders.save_features(path, "audio", np.full(
+            (tiny_mod_cfg.length("audio"), tiny_mod_cfg.dim("audio")), 0.25))
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        examples = [dataclasses.replace(ex, media=({"kind": "audio", "path": path},))
+                    for ex in make_examples(3)]
+        monkeypatch.setattr("builtins.open", counting_open)
+        records = frame(examples, tiny_mod_cfg, vocab)
+        monkeypatch.undo()
+        assert opened.count(path) == 1, opened
+        for r in records:
+            np.testing.assert_array_equal(r.media["audio"], 0.25)
+
     def test_a_recurring_item_runs_the_stub_once_per_call(self, tiny_mod_cfg,
                                                           vocab, monkeypatch):
         runs = []
