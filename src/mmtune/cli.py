@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
         by_source: dict = {}
         for ex in examples:
             by_source.setdefault(ex.source, []).append(ex)
-        examples = ds.mix(by_source, n, cfg["data"]["seed"])
+        examples = ds.mix(by_source, n, objs["train"].seed)
     resume = load_checkpoint(args.resume) if args.resume else None
     start = resume.step if resume else 0
     os.makedirs(args.out, exist_ok=True)

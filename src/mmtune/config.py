@@ -13,10 +13,7 @@ from .encoders import ModalityConfig
 from .errors import ConfigError
 from .training import TrainConfig
 
-_DATA_DEFAULTS = {
-    "seed": 0,
-    "mix": {"n_per_source": None},
-}
+_DATA_DEFAULTS = {"mix": {"n_per_source": None}}
 
 
 def default_config() -> dict:
@@ -63,11 +60,8 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         merged = validate_config(user)
     if seed is not None:
         merged["train"]["seed"] = seed
-        merged["data"]["seed"] = seed
-    data_seed, n = merged["data"]["seed"], merged["data"]["mix"]["n_per_source"]
-    if type(data_seed) is not int:  # a bool is no seed or count
-        raise ConfigError(f"data.seed must be an int, got {data_seed!r}")
-    if n is not None and (type(n) is not int or n < 1):
+    n = merged["data"]["mix"]["n_per_source"]
+    if n is not None and (type(n) is not int or n < 1):  # a bool is no count
         raise ConfigError(f"data.mix.n_per_source must be null or an int "
                           f">= 1, got {n!r}")
     try:

@@ -25,6 +25,9 @@ KINDS = ("image", "video", "audio")
 _MAGIC = b"MCWF"
 _VERSION = 1
 
+# a video's raw frame count when its media entry gives none
+_SOURCE_FRAMES = 32
+
 
 def check_field_types(cfg) -> None:
     """Raise TypeError unless each field of the dataclass `cfg` holds a value
@@ -65,7 +68,6 @@ class ModalityConfig:
     video_dim: int = 32
     audio_len: int = 24
     audio_dim: int = 32
-    source_frames_default: int = 32  # assumed raw frame count when unknown
 
     def __post_init__(self):
         check_field_types(self)
@@ -76,8 +78,6 @@ class ModalityConfig:
                 raise ValueError(f"{length} must be >= l_prime")
             if getattr(self, dim) < 1:
                 raise ValueError(f"{dim} must be >= 1")
-        if self.source_frames_default < 1:
-            raise ValueError("source_frames_default must be >= 1")
 
     def length(self, kind: str) -> int:
         return getattr(self, _KIND_FIELDS[kind][0])
@@ -136,13 +136,6 @@ def _uniform(seeds, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def stub_encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
-    """Deterministic stand-in encoder: uniform [-1, 1] features seeded by
-    the media fingerprint."""
-    shape = (cfg.length(media.kind), cfg.dim(media.kind))
-    return _uniform([media.fingerprint], np.empty(shape))
-
-
 def sample_frames(frame_count: int, target: int) -> list[int]:
     """Evenly spaced frame indices: floor(j*N/F) for j in 0..F-1."""
     if frame_count < 1 or target < 1:
@@ -156,18 +149,22 @@ def frame_fingerprint(fingerprint: int, frame_index: int) -> int:
     return fingerprint_bytes(payload)
 
 
-def encode_video(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
-    """One pooled feature row per sampled frame, each drawn straight into
-    its row of the F×d_h result."""
-    idx = sample_frames(media.frames or cfg.source_frames_default, cfg.video_frames)
-    return _uniform([frame_fingerprint(media.fingerprint, i) for i in idx],
-                    np.empty((cfg.video_frames, cfg.video_dim)))
+def stub_encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
+    """Deterministic stand-in encoder: uniform [-1, 1] features. A video
+    has one row per sampled frame, seeded by that frame's fingerprint; the
+    other kinds draw their L×d_h block from the media fingerprint."""
+    shape = (cfg.length(media.kind), cfg.dim(media.kind))
+    seeds = [media.fingerprint]
+    if media.kind == "video":
+        seeds = [frame_fingerprint(media.fingerprint, i) for i in sample_frames(
+            media.frames or _SOURCE_FRAMES, cfg.video_frames)]
+    return _uniform(seeds, np.empty(shape))
 
 
 def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
     """The L×d_h features of `media`: read from its `.mcwf` file when its
     path names one (from the bytes the ref holds, if it holds them), else
-    from the stub encoder for its kind."""
+    from the stub encoder."""
     if (media.path and media.path.endswith(".mcwf")
             and (media.content is not None or os.path.isfile(media.path))):
         kind, matrix = load_features(media.path, media.content)
@@ -176,7 +173,7 @@ def encode(media: MediaRef, cfg: ModalityConfig) -> np.ndarray:
             raise SchemaError(f"{media.path}: feature kind and shape {kind} "
                               f"{matrix.shape} != configured {expect}")
         return matrix
-    return (encode_video if media.kind == "video" else stub_encode)(media, cfg)
+    return stub_encode(media, cfg)
 
 
 def save_features(path: str, kind: str, matrix: np.ndarray) -> None:
@@ -190,7 +187,8 @@ def save_features(path: str, kind: str, matrix: np.ndarray) -> None:
 
 def load_features(path: str, raw: bytes | None = None) -> tuple[str, np.ndarray]:
     """The (kind, float64 matrix) a feature file holds; `raw`, when given,
-    is the file's bytes, already read."""
+    is the file's bytes, already read. A NaN or infinite value raises
+    SchemaError."""
     if raw is None:
         with open(path, "rb") as f:
             raw = f.read()
@@ -209,4 +207,6 @@ def load_features(path: str, raw: bytes | None = None) -> tuple[str, np.ndarray]
     if len(body) < need:
         raise TruncatedFile(f"{path}: expected {need} payload bytes, got {len(body)}")
     matrix = np.frombuffer(body[:need], dtype="<f4").reshape(rows, cols)
+    if not np.isfinite(matrix).all():
+        raise SchemaError(f"{path}: feature values must be finite")
     return KINDS[kind_code], matrix.astype(np.float64)

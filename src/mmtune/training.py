@@ -30,7 +30,10 @@ from .errors import (BadMagic, ConfigError, CorruptPayload, EmptyDataset,
 from .tokenizer import BOS, EOS, SEP, Vocab
 
 _CKPT_MAGIC = b"MCWC"
-_CKPT_VERSION = 5
+_CKPT_VERSION = 6
+
+# AdamW's moment decay rates and denominator guard: the recipe's fixed values
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,6 @@ class TrainConfig:
     grad_accum: int = 3
     max_seq_len: int = 512
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     loss_reduction: str = "mean"   # per-example mean or sum over response tokens
     freeze_embedding: bool = False
@@ -57,13 +57,9 @@ class TrainConfig:
         check_field_types(self)
         if not 0.0 < self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must lie in (0, 1)")
-        for name in ("lr_peak", "micro_batch", "grad_accum", "max_seq_len",
-                     "eps"):
+        for name in ("lr_peak", "micro_batch", "grad_accum", "max_seq_len"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("beta1", "beta2"):  # bias correction divides by 1 - beta**t
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
         for name in ("weight_decay", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -232,20 +228,19 @@ def adam_update(params: ModelParams, grads: dict, state: AdamState, lr: float,
     updating m, v and p in place through two temporary arrays per parameter in
     the operation order of that formula, so results match it bitwise."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
+    c1, c2 = 1 - _BETA1 ** state.t, 1 - _BETA2 ** state.t
     for name in params.names():
         g, m, v, p = grads[name], state.m[name], state.v[name], params[name].data
-        tmp = np.multiply(g, 1 - b1)
-        m *= b1
+        tmp = np.multiply(g, 1 - _BETA1)
+        m *= _BETA1
         m += tmp
-        np.multiply(g, 1 - b2, out=tmp)
+        np.multiply(g, 1 - _BETA2, out=tmp)
         tmp *= g
-        v *= b2
+        v *= _BETA2
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.eps
+        tmp += _EPS
         step = m / c1
         step /= tmp
         # kept at weight_decay 0 as well, as in the formula: 0 * inf is NaN
@@ -482,7 +477,9 @@ def _link_checkpoint(src: str, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint into the tensors its header's configs give, each
     straight into its own array, so a load holds one copy of the payload.
-    A header whose shapes are not those tensors' is corrupt."""
+    A header whose shapes are not those tensors' is corrupt, and so is one
+    whose step or adam_t is not an int >= 0 or whose dataset is not a
+    string."""
     with open(path, "rb") as f:
         prefix = f.read(12)
         if prefix[:4] != _CKPT_MAGIC:
@@ -495,6 +492,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         try:
             (n,) = struct.unpack_from("<I", prefix, 8)
             head = json.loads(f.read(n))
+            for key in ("step", "adam_t"):  # a bool is no count
+                if type(head[key]) is not int or head[key] < 0:
+                    raise ValueError(f"{key} must be an int >= 0, "
+                                     f"got {head[key]!r}")
+            if not isinstance(head["dataset"], str):
+                raise ValueError(f"dataset must be a string, "
+                                 f"got {head['dataset']!r}")
             expected = 3 * 8 * sum(math.prod(shape)
                                    for _, shape in head["shapes"])
             payload = os.fstat(f.fileno()).st_size - 12 - n

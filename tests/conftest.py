@@ -71,17 +71,35 @@ def rewrite_ckpt_config(path, edit):
                            + raw[12 + n:])
 
 
+def set_version(path, version):
+    """Write `version` into the version field of the checkpoint at `path`."""
+    raw = bytearray(open(path, "rb").read())
+    struct.pack_into("<I", raw, 4, version)
+    open(path, "wb").write(bytes(raw))
+
+
+def to_format_5(path):
+    """Rewrite the checkpoint at `path` as format 5 wrote it: version 5, and
+    Adam's beta1, beta2 and eps and the modality's source_frames_default in
+    the header's configs."""
+    def add_settings(cfg):
+        cfg["train"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+        cfg["modality"]["source_frames_default"] = 32
+    rewrite_ckpt_config(path, add_settings)
+    set_version(path, 5)
+
+
 def to_format_4(path):
-    """Rewrite the checkpoint at `path` as format 4 wrote it: version 4, and
-    the header's vocab block and decoder vocab_size."""
+    """Rewrite the checkpoint at `path` as format 4 wrote it: format 5's
+    header, version 4, and the header's vocab block and decoder
+    vocab_size."""
     def add_vocab(cfg):
         cfg["decoder"]["vocab_size"] = 260
         cfg["vocab"] = {"size": 260,
                         "specials": {"PAD": 0, "BOS": 1, "EOS": 2, "SEP": 3}}
+    to_format_5(path)
     rewrite_ckpt_config(path, add_vocab)
-    raw = bytearray(open(path, "rb").read())
-    struct.pack_into("<I", raw, 4, 4)
-    open(path, "wb").write(bytes(raw))
+    set_version(path, 4)
 
 
 def bogus_decoder_key(cfg):
@@ -96,4 +114,11 @@ def set_header(section, key, value):
     """A checkpoint header edit that sets one value of a config block."""
     def edit(cfg):
         cfg[section][key] = value
+    return edit
+
+
+def set_header_key(key, value):
+    """A checkpoint header edit that sets one top-level header value."""
+    def edit(cfg):
+        cfg[key] = value
     return edit

@@ -13,7 +13,7 @@ from mmtune.encoders import save_features
 from mmtune.errors import ConfigError
 from mmtune.training import _dataset_hash, load_checkpoint
 from conftest import (bogus_decoder_key, drop_dataset_key, rewrite_ckpt_config,
-                      set_header, to_format_4)
+                      set_header, set_header_key, to_format_4, to_format_5)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,7 +65,7 @@ class TestConfig:
         p = write_cfg(tmp_path)
         cfg = load_config(p, seed=123)
         assert cfg["train"]["seed"] == 123
-        assert cfg["data"]["seed"] == 123
+        assert "seed" not in cfg["data"]
 
 
 class TestDispatchBasics:
@@ -196,9 +196,10 @@ class TestDatasetCommands:
         ("audio", 6, "audio"),         # features of another kind
         ("image", 5, r"(5, 5)"),       # a shape other than the configured one
         ("image", 6, "header incomplete"),
-        ("image", 6, "unsupported version 2")],
+        ("image", 6, "unsupported version 2"),
+        ("image", 6, "feature values must be finite")],
         ids=["kind-byte-3", "other-kind", "other-shape", "short-header",
-             "version-2"])
+             "version-2", "nan"])
     def test_train_bad_feature_file_exits_3(self, tmp_path, capsys, kind, rows,
                                             match):
         feats = tmp_path / "f.mcwf"
@@ -210,6 +211,8 @@ class TestDatasetCommands:
             del raw[10:]  # of the header's 17 bytes
         elif match == "unsupported version 2":
             raw[4] = 2  # the u32 version's low byte
+        elif match == "feature values must be finite":
+            raw[-4:] = np.float32(np.nan).tobytes()  # the last value
         feats.write_bytes(bytes(raw))
         rec = {"id": "f", "source": "s", "instruction": "what", "response": "x",
                "media": [{"kind": "image", "path": str(feats)}]}
@@ -424,6 +427,21 @@ class TestTrainEvalGenerate:
         ckpt = load_checkpoint(str(out / "final.ckpt"))
         assert ckpt.dataset_hash == _dataset_hash(mixed)
 
+    def test_n_per_source_mixes_with_the_train_seed(self, trained, tmp_path):
+        # without --seed, the mix draws with train.seed, as the run does
+        cfg = write_cfg(tmp_path, data={"mix": {"n_per_source": 2}},
+                        train={"epochs": 1, "micro_batch": 2, "grad_accum": 1,
+                               "max_seq_len": 128, "seed": 3})
+        out = tmp_path / "run"
+        assert dispatch(["train", "--config", cfg, "--data", trained["data"],
+                         "--out", str(out), "--max-steps", "0"]) == 0
+        by_source: dict = {}
+        for ex in ds.read_examples(trained["data"]):
+            by_source.setdefault(ex.source, []).append(ex)
+        ckpt = load_checkpoint(str(out / "final.ckpt"))
+        assert ckpt.dataset_hash == _dataset_hash(ds.mix(by_source, 2, 3))
+        assert ckpt.dataset_hash != _dataset_hash(ds.mix(by_source, 2, 0))
+
     def test_source_smaller_than_n_exits_3(self, trained, tmp_path, capsys):
         cfg = write_cfg(tmp_path, data={"mix": {"n_per_source": 11}})
         out = tmp_path / "run"
@@ -460,6 +478,22 @@ class TestTrainEvalGenerate:
                          str(tmp_path / "run"), "--max-steps", "1"])
         assert code == 2
         assert "unknown config key: model.vocab_size" in capsys.readouterr().err
+
+    # constants, not settings: Adam's beta1, beta2 and eps and the stub's
+    # raw frame count for a video that gives none; the mix draws with
+    # train.seed
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "beta1", 0.9), ("train", "beta2", 0.999), ("train", "eps", 1e-8),
+        ("modality", "source_frames_default", 32), ("data", "seed", 0)])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, section,
+                                               key, value):
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({section: {key: value}}))
+        code = dispatch(["train", "--config", str(p), "--data", "x",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key: {section}.{key}\n")
 
     @pytest.mark.parametrize("config", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_exits_2(self, trained, tmp_path, capsys, config):
@@ -500,21 +534,23 @@ class TestTrainEvalGenerate:
         ("train", "lr_peak", float("nan")),
         ("train", "max_grad_norm", float("inf")),
         ("train", "weight_decay", float("-inf")),
-        # Adam's ranges: bias correction divides by 1 - beta**t
-        ("train", "beta1", 1.0), ("train", "beta2", -0.1), ("train", "eps", 0),
         ("train", "weight_decay", -0.01),
         # modality geometry
         ("modality", "l_prime", 0), ("modality", "image_len", 0),
         ("modality", "video_frames", 3), ("modality", "audio_dim", 0),
-        ("modality", "source_frames_default", 0),
         # decoder geometry
         ("model", "alignment_heads", 3), ("model", "d_e", 0),
         ("model", "d_ff", 0), ("model", "max_seq_len", 0),
-        # the data section: the mix seed and the per-source sample count
-        ("data", "seed", "3"), ("data", "seed", 1.5), ("data", "seed", True),
-        ("data", "mix", {"n_per_source": -1}), ("data", "mix", {"n_per_source": 0}),
-        ("data", "mix", {"n_per_source": "3"}),
-        ("data", "mix", {"n_per_source": True}),
+        # the data section: the per-source sample count (a dict value's id
+        # is positional, so these name theirs)
+        pytest.param("data", "mix", {"n_per_source": -1},
+                     id="data-mix-value28"),
+        pytest.param("data", "mix", {"n_per_source": 0},
+                     id="data-mix-value29"),
+        pytest.param("data", "mix", {"n_per_source": "3"},
+                     id="data-mix-value30"),
+        pytest.param("data", "mix", {"n_per_source": True},
+                     id="data-mix-value31"),
         # numpy's generators take no negative seed; a decoder needs a layer
         ("train", "seed", -1), ("model", "layers", 0),
         # the schedule's warm-up share and the loss reduction
@@ -582,6 +618,50 @@ class TestTrainEvalGenerate:
         assert dispatch(["eval", "--checkpoint", str(p),
                          "--data", trained["data"]]) == 3
         assert "checkpoint version 4" in capsys.readouterr().err
+
+    def test_eval_format_5_checkpoint_exits_3(self, tmp_path, trained, capsys):
+        p = tmp_path / "v5.ckpt"
+        p.write_bytes((trained["out"] / "final.ckpt").read_bytes())
+        to_format_5(str(p))
+        assert dispatch(["eval", "--checkpoint", str(p),
+                         "--data", trained["data"]]) == 3
+        assert "checkpoint version 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        set_header_key("step", -1), set_header_key("step", "1"),
+        set_header_key("adam_t", -5)], ids=["step--1", "step-str", "adam_t--5"])
+    def test_resume_from_a_bad_step_count_exits_3(self, tmp_path, trained,
+                                                  capsys, edit):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes((trained["out"] / "final.ckpt").read_bytes())
+        rewrite_ckpt_config(str(p), edit)
+        code = dispatch(["train", "--config", trained["cfg"], "--data",
+                         trained["data"], "--out", str(tmp_path / "run"),
+                         "--seed", "5", "--resume", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"data error: {p}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    def test_non_finite_features_exit_3(self, tmp_path, trained, capsys,
+                                        command):
+        feats = tmp_path / "f.mcwf"
+        save_features(str(feats), "image", np.full((6, 5), np.inf))
+        ckpt = str(trained["out"] / "final.ckpt")
+        if command == "eval":
+            rec = {"id": "f", "source": "s", "instruction": "what",
+                   "response": "x", "media": [{"kind": "image",
+                                               "path": str(feats)}]}
+            p = tmp_path / "data.jsonl"
+            p.write_text(json.dumps(rec) + "\n")
+            argv = ["eval", "--checkpoint", ckpt, "--data", str(p)]
+        else:
+            argv = ["generate", "--checkpoint", ckpt, "--instruction", "what",
+                    "--media", f"image:{feats}", "--max-new", "2"]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == (f"data error: {feats}: feature "
+                                           f"values must be finite\n")
 
     def test_generate_runs(self, trained, capsys):
         code = dispatch(["generate", "--checkpoint",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmtune.encoders import (MediaRef, ModalityConfig, encode, encode_video,
+from mmtune.encoders import (MediaRef, ModalityConfig, encode,
                              fingerprint_bytes, frame_fingerprint,
                              load_features, sample_frames, save_features,
                              stub_encode)
@@ -72,6 +72,17 @@ class TestFeatureFiles:
         open(p, "wb").write(raw[:4 + 13 + 10 * 4])  # header + 10 floats
         with pytest.raises(TruncatedFile):
             load_features(p)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, tmp_path, value):
+        p = str(tmp_path / "d.mcwf")
+        feats = np.zeros((16, 32))
+        feats[3, 7] = value
+        save_features(p, "image", feats)
+        with pytest.raises(SchemaError) as e:
+            load_features(p)
+        assert str(e.value) == f"{p}: feature values must be finite"
 
 
 class TestEncodeFeatureFile:
@@ -147,18 +158,25 @@ class TestSampleFrames:
 class TestEncodeVideo:
     def test_shape(self, cfg):
         m = MediaRef("video", fingerprint=5, frames=100)
-        assert encode_video(m, cfg).shape == (8, 32)
+        assert stub_encode(m, cfg).shape == (8, 32)
 
     def test_deterministic(self, cfg):
         m = MediaRef("video", fingerprint=5, frames=100)
-        np.testing.assert_array_equal(encode_video(m, cfg),
-                                      encode_video(m, cfg))
+        np.testing.assert_array_equal(stub_encode(m, cfg),
+                                      stub_encode(m, cfg))
+
+    def test_no_frame_count_samples_32_raw_frames(self, cfg):
+        got = stub_encode(MediaRef("video", fingerprint=5), cfg)
+        np.testing.assert_array_equal(
+            got, stub_encode(MediaRef("video", fingerprint=5, frames=32), cfg))
+        assert not np.array_equal(
+            got, stub_encode(MediaRef("video", fingerprint=5, frames=40), cfg))
 
     def test_single_frame_equals_frame0_stub(self):
         cfg = ModalityConfig(l_prime=1, video_frames=1, video_dim=16,
                              image_len=1, image_dim=16)
         m = MediaRef("video", fingerprint=77, frames=10)
-        out = encode_video(m, cfg)
+        out = stub_encode(m, cfg)
         frame0 = MediaRef("image",
                           fingerprint=frame_fingerprint(m.fingerprint, 0))
         expected = stub_encode(frame0, cfg)

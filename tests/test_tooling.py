@@ -1,13 +1,16 @@
 import dataclasses
 import importlib.util
+import json
 import os
 import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from mmtune import autograd, cognitive
 from mmtune.cognitive import DecoderConfig, generate_greedy, init_params
+from mmtune.config import load_config
 from mmtune.dataset import InstructionExample
 from mmtune.encoders import MediaRef, ModalityConfig
 from mmtune.tokenizer import Vocab
@@ -15,17 +18,39 @@ from mmtune.training import (TrainConfig, _batch_loss_and_grads, build_pack,
                              build_sequence, frame, response_nll)
 from conftest import make_examples
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_tracer(monkeypatch):
-    """The benchmark's tracer module, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
-    spec.loader.exec_module(tracer_mod)
-    return tracer_mod
+def load_perfbench(monkeypatch, name):
+    """The benchmark's module `name` (tracer, run), loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["short", "long"])
+def test_benchmark_configs_load(monkeypatch, tmp_path, workload):
+    # the benchmark's set-up lays each workload's config over the shipped
+    # one and loads it, so a key it sets that the library no longer takes
+    # fails here instead of inside the benchmark
+    run = load_perfbench(monkeypatch, "run")
+    assert set(run.WORKLOADS) == {"short", "long"}
+    with open(os.path.join(ROOT, "configs", "default.json"), encoding="utf-8") as f:
+        cfg = json.load(f)
+    for section, values in run.WORKLOADS[workload]["config"].items():
+        cfg[section].update(values)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg))
+    objs = load_config(str(p), seed=1)["objects"]
+    assert (type(objs["model"]), type(objs["train"]), type(objs["modality"])) == (
+        DecoderConfig, TrainConfig, ModalityConfig)
+    for section, values in run.WORKLOADS[workload]["config"].items():
+        got = objs[section]
+        for key, value in values.items():
+            assert getattr(got, key) == value, (section, key)
 
 
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
@@ -33,7 +58,7 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     # rename or deletion in src/ fails here instead of inside the benchmark;
     # one build_sequence call then shows each stage is wrapped where it is
     # called from, so its per-layer metrics do not silently read 0
-    tracer_mod = load_tracer(monkeypatch)
+    tracer_mod = load_perfbench(monkeypatch, "tracer")
     dec_cfg, mod_cfg = DecoderConfig(d_e=16, heads=2, d_ff=32), ModalityConfig()
     params = init_params(dec_cfg, mod_cfg, np.random.default_rng(0))
     ex = InstructionExample(id="t", media=({"kind": "video", "path": "v",
@@ -63,7 +88,7 @@ def test_benchmark_tracer_sees_each_pack_of_a_step(monkeypatch):
     # layout, the model and the loss once a pack, each under the name the
     # tracer wraps, so the benchmark's per-layer view of training does not
     # silently read 0
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "tracer").Tracer()
     pack, params, dec_cfg, mod_cfg = short_pack()
     examples = frame(pack + [dataclasses.replace(ex, id=ex.id + "b")
                              for ex in pack], mod_cfg, Vocab())

@@ -28,7 +28,7 @@ from mmtune.training import (AdamState, Checkpoint, TrainConfig,
 from mmtune.tokenizer import BOS, EOS, SEP, Vocab
 from conftest import (assemble_one, bogus_decoder_key, drop_dataset_key,
                       make_examples, rewrite_ckpt_config, set_header,
-                      to_format_4)
+                      set_header_key, to_format_4, to_format_5)
 
 
 def seq_with_response(params, instr_ids=(1, 10, 11, 3), resp_ids=(20, 21, 2)):
@@ -610,11 +610,11 @@ class TestFrame:
     def test_a_recurring_item_runs_the_stub_once_per_call(self, tiny_mod_cfg,
                                                           vocab, monkeypatch):
         runs = []
-        for name in ("stub_encode", "encode_video"):
-            def counted(media, cfg, fn=getattr(encoders, name)):
-                runs.append(media.kind)
-                return fn(media, cfg)
-            monkeypatch.setattr(encoders, name, counted)
+
+        def counted(media, cfg, fn=encoders.stub_encode):
+            runs.append(media.kind)
+            return fn(media, cfg)
+        monkeypatch.setattr(encoders, "stub_encode", counted)
         media = ({"kind": "image", "path": "m"},
                  {"kind": "video", "path": "m", "frames": 40},
                  {"kind": "audio", "path": "m"})
@@ -673,12 +673,11 @@ class TestPackLayout:
 def adam_oracle(p, m, v, g, t, lr, cfg):
     """One AdamW step by the plain formulas, as new (p, m, v): the bitwise
     oracle for the in-place adam_update."""
-    b1, b2 = cfg.beta1, cfg.beta2
-    m = b1 * m + (1 - b1) * g
-    v = b2 * v + (1 - b2) * g * g
-    mhat = m / (1 - b1 ** t)
-    vhat = v / (1 - b2 ** t)
-    return p - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p), m, v
+    m = 0.9 * m + (1 - 0.9) * g
+    v = 0.999 * v + (1 - 0.999) * g * g
+    mhat = m / (1 - 0.9 ** t)
+    vhat = v / (1 - 0.999 ** t)
+    return p - lr * (mhat / (np.sqrt(vhat) + 1e-8) + cfg.weight_decay * p), m, v
 
 
 class TestAdam:
@@ -1152,7 +1151,7 @@ class TestCheckpoint:
         raw = p.read_bytes()
         assert raw[:4] == b"MCWC"
         version, n = struct.unpack_from("<II", raw, 4)
-        assert version == 5
+        assert version == 6
         head = json.loads(raw[12:12 + n])
         assert raw[12:12 + n] == json.dumps(
             head, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -1291,6 +1290,23 @@ class TestCheckpoint:
         with pytest.raises(CorruptPayload):
             load_checkpoint(p)
 
+    # the step and Adam's step count are ints >= 0 (a bool is none), and the
+    # dataset hash a string
+    @pytest.mark.parametrize("key,value", [
+        ("step", -1), ("step", "1"), ("step", True), ("step", 1.0),
+        ("step", None), ("adam_t", -5), ("adam_t", "3"), ("adam_t", False),
+        ("dataset", 5), ("dataset", None)],
+        ids=["step--1", "step-str", "step-bool", "step-float", "step-null",
+             "adam_t--5", "adam_t-str", "adam_t-bool", "dataset-int",
+             "dataset-null"])
+    def test_bad_counts_or_hash(self, tiny_dec_cfg, tiny_mod_cfg, vocab,
+                                tmp_path, key, value):
+        p = str(tmp_path / "c.ckpt")
+        save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
+        rewrite_ckpt_config(p, set_header_key(key, value))
+        with pytest.raises(CorruptPayload, match=key):
+            load_checkpoint(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "f.ckpt"
         p.write_bytes(b"NOPE" + b"\0" * 64)
@@ -1304,6 +1320,13 @@ class TestCheckpoint:
         raw[4] = 99
         open(p, "wb").write(bytes(raw))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(p)
+
+    def test_format_5_rejected(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
+        p = str(tmp_path / "v5.ckpt")
+        save_checkpoint(p, self.make_ckpt(tiny_dec_cfg, tiny_mod_cfg, vocab))
+        to_format_5(p)
+        with pytest.raises(VersionMismatch, match="version 5"):
             load_checkpoint(p)
 
     def test_format_4_rejected(self, tiny_dec_cfg, tiny_mod_cfg, vocab, tmp_path):
